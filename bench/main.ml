@@ -486,17 +486,11 @@ let run_fleet_scaling () =
     fs_identical = identical }
 
 (* ------------------------------------------------------------------ *)
-(* Composed-verdict fast path: steady-state hit rates of the overlay
-   and Hostlo dataplanes, and a byte-identity check of the fig13/fig10
-   experiment results against a mechanisms-off (cache disabled) run —
-   the cache may only move wall-clock, never a result. *)
+(* Flow-cache identity: the fig13 (Overlay) and fig10 (Hostlo) UDP_RR
+   results must be byte-identical to a mechanisms-off (cache disabled)
+   run — the cache may only move wall-clock, never a result. *)
 
-type fastpath = {
-  fp_overlay_hit_rate : float;
-  fp_hostlo_hit_rate : float;
-  fp_fig13_identical : bool;
-  fp_fig10_identical : bool;
-}
+type fastpath = { fp_fig13_identical : bool; fp_fig10_identical : bool }
 
 let rr_digest (r : Nest_workloads.Netperf.rr_result) =
   Digest.to_hex
@@ -508,73 +502,32 @@ let rr_digest (r : Nest_workloads.Netperf.rr_result) =
 
 let fastpath_rr ~mode () =
   let tb, site = Exp_util.deploy_pair_sync ~mode ~port:7000 () in
-  let r =
-    Nest_workloads.Netperf.udp_rr tb
-      (Nest_workloads.App.of_pair site)
-      ~msg_size:1024 ~warmup:(Time.ms 5) ~duration:(Time.ms 60) ()
-  in
-  (tb, site, r)
-
-(* Hit rate over every [<prefix>*.hits]/[.misses] counter pair on the
-   testbed's registry (the VTEPs register [fc.overlay.<name>.*]). *)
-let counter_rate ~prefix tb =
-  let h, m =
-    List.fold_left
-      (fun (h, m) (name, v) ->
-        match v with
-        | Nest_sim.Metrics.Counter n when String.starts_with ~prefix name ->
-          if String.ends_with ~suffix:".hits" name then (h + n, m)
-          else if String.ends_with ~suffix:".misses" name then (h, m + n)
-          else (h, m)
-        | _ -> (h, m))
-      (0, 0)
-      (Nest_sim.Metrics.snapshot
-         (Nest_sim.Engine.metrics tb.Nestfusion.Testbed.engine))
-  in
-  if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)
-
-let stack_rate ns_list =
-  let h, m =
-    List.fold_left
-      (fun (h, m) ns ->
-        let h', m' = Nest_net.Stack.flow_cache_stats ns in
-        (h + h', m + m'))
-      (0, 0) ns_list
-  in
-  if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)
+  rr_digest
+    (Nest_workloads.Netperf.udp_rr tb
+       (Nest_workloads.App.of_pair site)
+       ~msg_size:1024 ~warmup:(Time.ms 5) ~duration:(Time.ms 60) ())
 
 let run_fastpath () =
   print_newline ();
-  print_endline
-    "== Composed-verdict fast path (hit rates, mechanisms-off identity) ==";
-  let tb_ov, _, r_ov = fastpath_rr ~mode:`Overlay () in
-  let overlay_rate = counter_rate ~prefix:"fc.overlay." tb_ov in
-  let _, site_hl, r_hl = fastpath_rr ~mode:`Hostlo () in
-  let hostlo_rate =
-    stack_rate
-      [ site_hl.Nestfusion.Deploy.a_ns; site_hl.Nestfusion.Deploy.b_ns ]
-  in
+  print_endline "== Flow-cache identity (mechanisms-off) ==";
+  let ov = fastpath_rr ~mode:`Overlay () in
+  let hl = fastpath_rr ~mode:`Hostlo () in
   Nest_net.Stack.set_default_flow_cache false;
-  let r_ov', r_hl' =
+  let ov', hl' =
     Fun.protect
       ~finally:(fun () -> Nest_net.Stack.set_default_flow_cache true)
       (fun () ->
-        let _, _, a = fastpath_rr ~mode:`Overlay () in
-        let _, _, b = fastpath_rr ~mode:`Hostlo () in
+        let a = fastpath_rr ~mode:`Overlay () in
+        let b = fastpath_rr ~mode:`Hostlo () in
         (a, b))
   in
-  let fig13_id = String.equal (rr_digest r_ov) (rr_digest r_ov') in
-  let fig10_id = String.equal (rr_digest r_hl) (rr_digest r_hl') in
-  Printf.printf "%-42s %9.2f %%\n" "overlay steady-state hit rate"
-    (100. *. overlay_rate);
-  Printf.printf "%-42s %9.2f %%\n" "hostlo steady-state hit rate"
-    (100. *. hostlo_rate);
+  let fig13_id = String.equal ov ov' in
+  let fig10_id = String.equal hl hl' in
   Printf.printf "%-42s %10s\n" "fig13 identical to mechanisms-off"
     (if fig13_id then "yes" else "NO — RESULT DRIFT");
   Printf.printf "%-42s %10s\n" "fig10 identical to mechanisms-off"
     (if fig10_id then "yes" else "NO — RESULT DRIFT");
-  { fp_overlay_hit_rate = overlay_rate; fp_hostlo_hit_rate = hostlo_rate;
-    fp_fig13_identical = fig13_id; fp_fig10_identical = fig10_id }
+  { fp_fig13_identical = fig13_id; fp_fig10_identical = fig10_id }
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable output (--json PATH): micro rows, observability
@@ -669,10 +622,8 @@ let write_json ~path ~rows ~overhead ~scaling ~shard_scaling ~fleet_scaling
   | Some f ->
     Buffer.add_string b
       (Printf.sprintf
-         "  \"overlay_fastpath\": {\"overlay_hit_rate\": %s, \
-          \"hostlo_hit_rate\": %s, \"fig13_identical\": %b, \
+         "  \"overlay_fastpath\": {\"fig13_identical\": %b, \
           \"fig10_identical\": %b},\n"
-         (fl f.fp_overlay_hit_rate) (fl f.fp_hostlo_hit_rate)
          f.fp_fig13_identical f.fp_fig10_identical));
   Buffer.add_string b
     (Printf.sprintf "  \"host_cores\": %d\n}\n"

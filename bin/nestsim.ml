@@ -17,19 +17,6 @@ let list_cmd () =
     (Nest_experiments.Registry.all @ Nest_experiments.Registry.ablations)
 
 let run_cmd ids quick jobs shards trace metrics obs_json trace_capacity =
-  if trace_capacity <= 0 then begin
-    Printf.eprintf "nestsim: --trace-capacity must be positive (got %d)\n"
-      trace_capacity;
-    exit 1
-  end;
-  if jobs <= 0 then begin
-    Printf.eprintf "nestsim: --jobs must be positive (got %d)\n" jobs;
-    exit 1
-  end;
-  if shards <= 0 then begin
-    Printf.eprintf "nestsim: --shards must be positive (got %d)\n" shards;
-    exit 1
-  end;
   Nestfusion.Testbed.set_default_shards shards;
   Nest_experiments.Exp_util.Obs.configure ~trace ~metrics ~json:obs_json
     ~trace_capacity ();
@@ -56,26 +43,7 @@ let run_cmd ids quick jobs shards trace metrics obs_json trace_capacity =
    per-hop latency-attribution table comparing the deployment modes. *)
 let obs_cmd ids quick shards out trace_capacity timeline_period_us prov_sample
     slo =
-  if trace_capacity <= 0 then begin
-    Printf.eprintf "nestsim: --trace-capacity must be positive (got %d)\n"
-      trace_capacity;
-    exit 1
-  end;
-  if shards <= 0 then begin
-    Printf.eprintf "nestsim: --shards must be positive (got %d)\n" shards;
-    exit 1
-  end;
   Nestfusion.Testbed.set_default_shards shards;
-  if timeline_period_us <= 0 then begin
-    Printf.eprintf "nestsim: --timeline-period must be positive (got %d)\n"
-      timeline_period_us;
-    exit 1
-  end;
-  if prov_sample <= 0 then begin
-    Printf.eprintf "nestsim: --prov-sample must be positive (got %d)\n"
-      prov_sample;
-    exit 1
-  end;
   Nest_experiments.Exp_util.Obs.configure ~trace:true ~metrics:true
     ~provenance:true ~prov_sample ~timeline:true ~trace_capacity
     ~timeline_period:(Nest_sim.Time.us timeline_period_us) ();
@@ -179,18 +147,29 @@ let trace_stats path =
 
 open Cmdliner
 
+(* Integer options that must be at least 1.  Rejected while parsing, so
+   the error names the flag as the user spelled it. *)
+let positive_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n <= 0 ->
+      Error (`Msg (Printf.sprintf "must be positive (got %d)" n))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let quick =
   Arg.(value & flag & info [ "quick" ] ~doc:"Shorter measurement windows.")
 
 let jobs =
-  Arg.(value & opt int 1
+  Arg.(value & opt positive_int 1
        & info [ "jobs"; "j" ] ~docv:"N"
            ~doc:"Fan independent experiment cells (one testbed + workload \
                  each) across $(docv) domains.  Results are identical for \
                  any value; only wall-clock time changes.")
 
 let shards =
-  Arg.(value & opt int 1
+  Arg.(value & opt positive_int 1
        & info [ "shards" ] ~docv:"N"
            ~doc:"Partition every testbed's event loop into $(docv) \
                  conservative sub-engines (null-message synchronized; see \
@@ -221,7 +200,7 @@ let obs_json =
            ~doc:"Emit the --trace/--metrics dump as JSON instead of text.")
 
 let trace_capacity =
-  Arg.(value & opt int 8192
+  Arg.(value & opt positive_int 8192
        & info [ "trace-capacity" ] ~docv:"N"
            ~doc:"Trace ring capacity in events (oldest are dropped).")
 
@@ -243,13 +222,13 @@ let obs_term =
              ~doc:"Chrome trace-event JSON output (Perfetto-loadable).")
   in
   let timeline_period =
-    Arg.(value & opt int 1000
+    Arg.(value & opt positive_int 1000
          & info [ "timeline-period" ] ~docv:"US"
              ~doc:"CPU-timeline sampling period in microseconds of sim \
                    time.")
   in
   let prov_sample =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive_int 1
          & info [ "prov-sample" ] ~docv:"N"
              ~doc:"Mint one latency-provenance record per $(docv) eligible \
                    packets instead of per packet (1 = every packet).  \
@@ -288,14 +267,6 @@ let obs_term =
   Cmd.group (Cmd.info "obs" ~doc) [ run ]
 
 let chaos_cmd rates seed jobs shards quick check workload standby =
-  if jobs <= 0 then begin
-    Printf.eprintf "nestsim: --jobs must be positive (got %d)\n" jobs;
-    exit 1
-  end;
-  if shards <= 0 then begin
-    Printf.eprintf "nestsim: --shards must be positive (got %d)\n" shards;
-    exit 1
-  end;
   Nestfusion.Testbed.set_default_shards shards;
   if standby < 0 then begin
     Printf.eprintf "nestsim: --standby must be >= 0 (got %d)\n" standby;
@@ -403,18 +374,6 @@ let profile_arg =
                  links.")
 
 let cluster_cmd nodes shards domains seed quick check profile =
-  if nodes <= 0 then begin
-    Printf.eprintf "nestsim: --nodes must be positive (got %d)\n" nodes;
-    exit 1
-  end;
-  if shards <= 0 then begin
-    Printf.eprintf "nestsim: --shards must be positive (got %d)\n" shards;
-    exit 1
-  end;
-  if domains <= 0 then begin
-    Printf.eprintf "nestsim: --domains must be positive (got %d)\n" domains;
-    exit 1
-  end;
   let profile = resolve_profile profile in
   if check then begin
     if not (Nest_experiments.Fig_cluster.check ~nodes ~seed ?profile ~quick ())
@@ -426,13 +385,13 @@ let cluster_cmd nodes shards domains seed quick check profile =
 
 let cluster_term =
   let nodes =
-    Arg.(value & opt int 4
+    Arg.(value & opt positive_int 4
          & info [ "nodes" ] ~docv:"N"
              ~doc:"Ring size: $(docv) full single-node testbeds, node i's \
                    client driving node i+1's service across a wire.")
   in
   let domains =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive_int 1
          & info [ "domains" ] ~docv:"D"
              ~doc:"OS-level parallelism: pump the shards from $(docv) \
                    domains (capped at the shard count).  The digest is \
@@ -464,24 +423,12 @@ let cluster_term =
 
 let fleet_cmd nodes pods rate arrival shards domains seed quick check profile
     fault_rate standby admission autoscale service_us pods_max frontier =
-  if nodes <= 0 then begin
-    Printf.eprintf "nestsim: --nodes must be positive (got %d)\n" nodes;
-    exit 1
-  end;
   if pods < 0 then begin
     Printf.eprintf "nestsim: --pods must be >= 0 (got %d)\n" pods;
     exit 1
   end;
   if rate <= 0.0 then begin
     Printf.eprintf "nestsim: --rate must be positive (got %g)\n" rate;
-    exit 1
-  end;
-  if shards <= 0 then begin
-    Printf.eprintf "nestsim: --shards must be positive (got %d)\n" shards;
-    exit 1
-  end;
-  if domains <= 0 then begin
-    Printf.eprintf "nestsim: --jobs must be positive (got %d)\n" domains;
     exit 1
   end;
   if fault_rate < 0.0 || fault_rate > 1.0 then begin
@@ -507,10 +454,6 @@ let fleet_cmd nodes pods rate arrival shards domains seed quick check profile
       service_us;
     exit 1
   end;
-  if pods_max < 1 then begin
-    Printf.eprintf "nestsim: --pods-max must be >= 1 (got %d)\n" pods_max;
-    exit 1
-  end;
   let admission =
     match Nest_experiments.Fig_fleet.admission_of_string admission with
     | Some a -> a
@@ -534,7 +477,7 @@ let fleet_cmd nodes pods rate arrival shards domains seed quick check profile
 
 let fleet_term =
   let nodes =
-    Arg.(value & opt int 8
+    Arg.(value & opt positive_int 8
          & info [ "nodes" ] ~docv:"N"
              ~doc:"Fleet size: $(docv) full single-node testbeds with \
                    heterogeneous deployment modes (NAT, BrFusion, Hostlo \
@@ -563,7 +506,7 @@ let fleet_term =
                    $(b,constant).")
   in
   let domains =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive_int 1
          & info [ "jobs"; "domains" ] ~docv:"D"
              ~doc:"OS-level parallelism: pump the shards from $(docv) \
                    domains (capped at the shard count).  The digest is \
@@ -622,7 +565,7 @@ let fleet_term =
                    autoscaling something to fight).")
   in
   let pods_max =
-    Arg.(value & opt int 4
+    Arg.(value & opt positive_int 4
          & info [ "pods-max" ] ~docv:"K"
              ~doc:"Per-node serving-pool ceiling; the effective maximum is \
                    further clamped by the node's remaining capacity at \

@@ -261,42 +261,30 @@ let header title =
 (* --- latency provenance probes -------------------------------------- *)
 
 (* Flow-cache health harvested alongside each probe: the fast-path
-   hit/miss counters and [fc.invalidate.<ns>.{full,scoped}] per
-   namespace the datagram traversed, plus any overlay resolution-cache
-   counters ([fc.overlay.<name>.{hits,misses}]) on the testbed engine.
-   A GARP storm shows up here as a scoped-invalidation burst with the
-   hit rate intact; a collapsing hit rate implicates full flushes. *)
+   hit/miss counters and [fc.invalidate.<ns>.full] per namespace the
+   datagram traversed.  A collapsing hit rate with a climbing
+   invalidation count implicates table churn. *)
 type cache_health = {
   ch_label : string;  (* probe label, e.g. "single:nat" *)
   ch_ns : string;
   ch_hits : int;
   ch_misses : int;
   ch_full : int;      (* full-flush invalidations *)
-  ch_scoped : int;    (* per-neighbour invalidations *)
 }
 
 (* Probes run sequentially (observability forces --jobs 1). *)
 let cache_rows : cache_health list ref = ref []
-let overlay_rows : (string * string * int) list ref = ref []
 
-let harvest_cache ~label tb nss =
+let harvest_cache ~label nss =
   List.iter
     (fun ns ->
       let hits, misses = Nest_net.Stack.flow_cache_stats ns in
-      let full, scoped = Nest_net.Stack.flow_cache_invalidations ns in
       cache_rows :=
         { ch_label = label; ch_ns = Nest_net.Stack.name ns; ch_hits = hits;
-          ch_misses = misses; ch_full = full; ch_scoped = scoped }
+          ch_misses = misses;
+          ch_full = Nest_net.Stack.flow_cache_invalidations ns }
         :: !cache_rows)
-    nss;
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | Nest_sim.Metrics.Counter c
-        when String.length name > 11 && String.sub name 0 11 = "fc.overlay." ->
-        overlay_rows := (label, name, c) :: !overlay_rows
-      | _ -> ())
-    (Nest_sim.Metrics.snapshot (Nest_sim.Engine.metrics tb.Testbed.engine))
+    nss
 
 (* One timed UDP datagram per deployment mode, on a dedicated testbed:
    the per-hop latency-attribution comparison the `obs` subcommand
@@ -313,7 +301,6 @@ let provenance_probe_single ?seed ~mode () =
   Testbed.run_until tb (Time.sec 3);
   harvest_cache
     ~label:("single:" ^ Modes.single_to_string mode)
-    tb
     [ tb.Testbed.client_ns; site.Deploy.site_ns ];
   match !out with
   | Some e -> e
@@ -332,7 +319,6 @@ let provenance_probe_pair ?seed ~mode () =
   Testbed.run_until tb (Time.sec 3);
   harvest_cache
     ~label:("pair:" ^ Modes.pair_to_string mode)
-    tb
     [ site.Deploy.a_ns; site.Deploy.b_ns ];
   match !out with
   | Some e -> e
@@ -343,7 +329,6 @@ let provenance_probe_pair ?seed ~mode () =
 
 let provenance_probes () =
   cache_rows := [];
-  overlay_rows := [];
   (* bind singles first: [@] evaluates right-to-left, and the harvested
      cache rows should print in the same order as the probe tables *)
   let singles =
@@ -382,8 +367,8 @@ let print_cache_health () =
   | [] -> ()
   | rows ->
     header "flow-cache health (per probe namespace)";
-    Printf.printf "  %-16s %-10s %8s %8s %7s %11s %13s\n" "probe" "ns" "hits"
-      "misses" "hit%" "inval_full" "inval_scoped";
+    Printf.printf "  %-16s %-10s %8s %8s %7s %11s\n" "probe" "ns" "hits"
+      "misses" "hit%" "inval_full";
     List.iter
       (fun r ->
         let tot = r.ch_hits + r.ch_misses in
@@ -391,17 +376,9 @@ let print_cache_health () =
           if tot = 0 then 0.0
           else 100.0 *. float_of_int r.ch_hits /. float_of_int tot
         in
-        Printf.printf "  %-16s %-10s %8d %8d %6.1f%% %11d %13d\n" r.ch_label
-          r.ch_ns r.ch_hits r.ch_misses hitp r.ch_full r.ch_scoped)
-      rows;
-    match List.rev !overlay_rows with
-    | [] -> ()
-    | ors ->
-      Printf.printf "\n  %-16s %-36s %8s\n" "probe" "overlay counter" "value";
-      List.iter
-        (fun (label, name, c) ->
-          Printf.printf "  %-16s %-36s %8d\n" label name c)
-        ors
+        Printf.printf "  %-16s %-10s %8d %8d %6.1f%% %11d\n" r.ch_label
+          r.ch_ns r.ch_hits r.ch_misses hitp r.ch_full)
+      rows
 
 let row s = print_endline s
 let kv k v = Printf.printf "  %-42s %s\n" k v

@@ -36,43 +36,21 @@ type ns_counters = {
    the verdict records their sum at install time (all counters only grow,
    so sum equality is equivalent to component-wise equality; [fc_stamp]
    asserts the monotonicity and guards the sum against saturation).
-   Neighbour state is scoped finer: instead of folding ARP churn into the
-   namespace-wide generation, each verdict that resolved a next hop also
-   records that destination's per-neighbour generation ([fc_ngen]), so a
-   MAC move — chaos recovery announces them in gratuitous-ARP bursts —
-   kills only the verdicts that reference the moved neighbour.
 
-   Reflector (Hostlo) egress additionally depends on live socket state:
-   the local-deliver vs reflect split consults the socket tables, and the
-   endpoint can be rebound wholesale (standby-pool claim).  Those inputs
-   get their own generations — [sock_gen] for the socket tables and the
-   device's binding generation (see {!Dev.bump_binding}) — folded into
-   [rf_gen] at install time, which makes the previously uncacheable
-   reflector decision an ordinary stamped verdict.
+   Reflector (Hostlo) egress to the pod's own localhost is never cached:
+   its local-deliver vs reflect split consults live socket state, which
+   no generation covers, so it is decided on every packet.
 
    Per-packet work that is not flow-invariant — conntrack translation,
    TTL decrement, hop costing, delivery counters — still runs on the fast
    path, so cached and uncached packets are simulated identically. *)
 type fc_tx = { fc_dev : Dev.t; fc_next_hop : Ipv4.t; fc_mac : Mac.t }
 
-type fc_reflect = Rf_local | Rf_tx of fc_tx
-
-type fc_out =
-  | Fc_out_local
-  | Fc_out_tx of fc_tx
-  | Fc_out_reflect of {
-      rf_dev : Dev.t;
-      rf_gen : int;   (* sock_gen + endpoint binding generation at install *)
-      rf_syn : bool;  (* derived from a connection-opening SYN?  The
-                         listener clause of the socket match only applies
-                         to such packets, so a verdict may be replayed
-                         only for packets of the same class. *)
-      rf_v : fc_reflect;
-    }
+type fc_out = Fc_out_local | Fc_out_tx of fc_tx
 
 type fc_in = Fc_in_deliver | Fc_in_forward of fc_tx
 
-type 'v fc_verdict = { fc_stamp : int; fc_ngen : int; fc_v : 'v }
+type 'v fc_verdict = { fc_stamp : int; fc_v : 'v }
 
 (* TCP tuning.  Values follow Linux defaults where a default exists. *)
 let sndbuf_default = 262_144
@@ -174,15 +152,12 @@ and ns = {
   ns_rng : Nest_sim.Prng.t;
   (* Flow cache (see the comment on [fc_tx]). *)
   mutable fc_enabled : bool;
-  mutable fc_gen : int;  (* bumped on addr/dev/fwd-flag mutation *)
-  mutable sock_gen : int;  (* bumped on any socket-table mutation *)
-  neigh_gen : (Ipv4.t, int) Hashtbl.t;  (* per-destination ARP moves *)
+  mutable fc_gen : int;  (* bumped on addr/dev/fwd-flag/ARP mutation *)
   out_cache : (Conntrack.flow, fc_out fc_verdict) Hashtbl.t;
   in_cache : (string * Conntrack.flow, fc_in fc_verdict) Hashtbl.t;
   mutable fc_hits : int;
   mutable fc_misses : int;
-  mutable fc_inval_full : int;    (* whole-cache invalidations *)
-  mutable fc_inval_scoped : int;  (* single-neighbour invalidations *)
+  mutable fc_inval_full : int;  (* whole-cache invalidations *)
   (* Last component generations seen by [fc_stamp], for the debug
      assertion that each one is monotonic (sum aliasing guard). *)
   mutable fc_seen_rt : int;
@@ -339,63 +314,6 @@ let fc_invalidate ns =
   ns.fc_gen <- ns.fc_gen + 1;
   ns.fc_inval_full <- ns.fc_inval_full + 1
 
-(* Per-destination invalidation: only verdicts whose resolved next hop is
-   [ip] embed its neighbour generation, so bumping it leaves every other
-   flow's verdict live — a gratuitous-ARP storm no longer collapses the
-   hit rate namespace-wide. *)
-let neigh_generation ns ip =
-  match Hashtbl.find_opt ns.neigh_gen ip with Some g -> g | None -> 0
-
-let fc_invalidate_neigh ns ip =
-  Hashtbl.replace ns.neigh_gen ip (neigh_generation ns ip + 1);
-  ns.fc_inval_scoped <- ns.fc_inval_scoped + 1
-
-(* Socket-table generation: any bind/close/listen/connect-registration
-   mutation.  Only reflector verdicts depend on it (their local-deliver
-   vs reflect split consults the socket tables); ordinary verdicts stay
-   live across socket churn. *)
-let sock_mutated ns = ns.sock_gen <- ns.sock_gen + 1
-
-let reflector_gen ns (dev : Dev.t) = ns.sock_gen + Dev.binding_generation dev
-
-let pkt_open_syn (pkt : Packet.t) =
-  match pkt.Packet.transport with
-  | Packet.Tcp { seg; _ } ->
-    seg.Tcp_wire.flags.Tcp_wire.syn && not seg.Tcp_wire.flags.Tcp_wire.ack
-  | Packet.Udp _ | Packet.Icmp_echo _ -> false
-
-(* ICMP echo state (icmp_waiters) churns with every ping, so reflector
-   verdicts for ICMP would invalidate themselves constantly. *)
-let reflect_cachable (pkt : Packet.t) =
-  match pkt.Packet.transport with
-  | Packet.Icmp_echo _ -> false
-  | Packet.Udp _ | Packet.Tcp _ -> true
-
-let fc_tx_live ns v tx = neigh_generation ns tx.fc_next_hop = v.fc_ngen
-
-let fc_out_live ns pkt (v : fc_out fc_verdict) =
-  match v.fc_v with
-  | Fc_out_local -> true
-  | Fc_out_tx tx -> fc_tx_live ns v tx
-  | Fc_out_reflect r ->
-    r.rf_gen = reflector_gen ns r.rf_dev
-    && r.rf_syn = pkt_open_syn pkt
-    && (match r.rf_v with Rf_local -> true | Rf_tx tx -> fc_tx_live ns v tx)
-
-let fc_in_live ns (v : fc_in fc_verdict) =
-  match v.fc_v with
-  | Fc_in_deliver -> true
-  | Fc_in_forward tx -> fc_tx_live ns v tx
-
-let fc_out_ngen ns = function
-  | Fc_out_local | Fc_out_reflect { rf_v = Rf_local; _ } -> 0
-  | Fc_out_tx tx | Fc_out_reflect { rf_v = Rf_tx tx; _ } ->
-    neigh_generation ns tx.fc_next_hop
-
-let fc_in_ngen ns = function
-  | Fc_in_deliver -> 0
-  | Fc_in_forward tx -> neigh_generation ns tx.fc_next_hop
-
 let set_flow_cache ns on =
   ns.fc_enabled <- on;
   if not on then begin
@@ -413,7 +331,7 @@ let default_flow_cache () = Atomic.get fc_default
 
 let flow_cache_enabled ns = ns.fc_enabled
 let flow_cache_stats ns = (ns.fc_hits, ns.fc_misses)
-let flow_cache_invalidations ns = (ns.fc_inval_full, ns.fc_inval_scoped)
+let flow_cache_invalidations ns = ns.fc_inval_full
 
 (* Netfilter is "armed" once any rule exists; armed namespaces pay the
    [nat] hop surcharge on their datapath — a fixed hook cost plus a
@@ -505,13 +423,10 @@ let arp_resolve ns dev ip k =
 let arp_learn ns ip mac =
   if not (Ipv4.equal ip Ipv4.any) then begin
     (* A neighbour moving to a new MAC invalidates cached verdicts that
-       resolved the old one — and only those: the invalidation is scoped
-       to this destination's neighbour generation, so a recovery-time
-       GARP burst does not flush unrelated flows.  Re-learning the same
-       MAC invalidates nothing (it is the common case and would defeat
-       the cache). *)
+       resolved the old one.  Re-learning the same MAC invalidates
+       nothing (it is the common case and would defeat the cache). *)
     (match Hashtbl.find_opt ns.arp_tbl ip with
-    | Some old when not (Mac.equal old mac) -> fc_invalidate_neigh ns ip
+    | Some old when not (Mac.equal old mac) -> fc_invalidate ns
     | Some _ | None -> ());
     Hashtbl.replace ns.arp_tbl ip mac;
     match Hashtbl.find_opt ns.arp_waiting ip with
@@ -523,13 +438,10 @@ let arp_learn ns ip mac =
   end
 
 let arp_flush ?ip ns =
-  match ip with
-  | Some ip ->
-    Hashtbl.remove ns.arp_tbl ip;
-    fc_invalidate_neigh ns ip
-  | None ->
-    Hashtbl.reset ns.arp_tbl;
-    fc_invalidate ns
+  (match ip with
+  | Some ip -> Hashtbl.remove ns.arp_tbl ip
+  | None -> Hashtbl.reset ns.arp_tbl);
+  fc_invalidate ns
 
 let arp_input ns dev (a : Frame.arp_msg) =
   arp_learn ns a.Frame.sender_ip a.Frame.sender_mac;
@@ -580,9 +492,7 @@ let local_socket_matches ns (pkt : Packet.t) =
    packet) or returned the packet physically unchanged, and the next hop's
    MAC is already resolved (an async ARP resolution installs nothing; the
    flow's next packet will).  Reflector devices resolve synchronously to
-   broadcast, so their transmit verdict always installs; the caller is
-   responsible for wrapping it with the socket/binding generations its
-   delivery-vs-transmit split depends on. *)
+   broadcast, so their transmit verdict always installs. *)
 let transmit_via ?(install = fun (_ : fc_tx) -> ()) ns ~(dev : Dev.t)
     ~next_hop pkt =
   let ctx = { Netfilter.in_dev = None; out_dev = Some dev.Dev.name } in
@@ -634,26 +544,9 @@ let ip_output_slow ns ~install pkt =
       | Some dev when dev.Dev.l2 = Dev.Reflector ->
         (* Hostlo: the destination is the pod's localhost; whether it is
            delivered here or leaves through the reflector depends on live
-           socket state.  The verdict is cachable anyway, stamped with the
-           socket-table and endpoint-binding generations (plus the SYN
-           class for TCP, whose listener clause only matches opening
-           SYNs); ICMP echo state churns per ping and stays uncached. *)
-        let install_rf rf_v =
-          if reflect_cachable pkt then
-            install
-              (Fc_out_reflect
-                 { rf_dev = dev; rf_gen = reflector_gen ns dev;
-                   rf_syn = pkt_open_syn pkt; rf_v })
-        in
-        if local_socket_matches ns pkt then begin
-          if unmangled then install_rf Rf_local;
-          deliver_locally ns pkt
-        end
-        else
-          transmit_via ns
-            ~install:(if unmangled then fun tx -> install_rf (Rf_tx tx)
-                      else fun _ -> ())
-            ~dev ~next_hop:pkt.Packet.dst pkt
+           socket state, so it is decided per packet and never cached. *)
+        if local_socket_matches ns pkt then deliver_locally ns pkt
+        else transmit_via ns ~dev ~next_hop:pkt.Packet.dst pkt
       | Some _ | None ->
         if unmangled then install Fc_out_local;
         deliver_locally ns pkt
@@ -670,45 +563,36 @@ let ip_output_slow ns ~install pkt =
 
 let fc_no_install _ = ()
 
-let fc_out_replay ns pkt (v : fc_out fc_verdict) =
-  ns.fc_hits <- ns.fc_hits + 1;
-  match v.fc_v with
-  | Fc_out_local | Fc_out_reflect { rf_v = Rf_local; _ } ->
-    deliver_locally ns pkt
-  | Fc_out_tx tx | Fc_out_reflect { rf_v = Rf_tx tx; _ } ->
-    (* Translation is per-packet work (it rewrites each packet of a
-       bound flow); the chains stay skipped either because the flow is
-       translated (Linux semantics) or because they were observed to
-       be a no-op for this flow. *)
-    let pkt, _ = Conntrack.translate ns.ct_tbl pkt in
-    send_ip_frame ns tx.fc_dev ~dst_mac:tx.fc_mac pkt
-
 let ip_output ns pkt =
   if not ns.fc_enabled then ip_output_slow ns ~install:fc_no_install pkt
   else
     let key = Conntrack.flow_of_packet pkt in
     let stamp = fc_stamp ns in
     match Hashtbl.find_opt ns.out_cache key with
-    | Some v when v.fc_stamp = stamp && fc_out_live ns pkt v ->
-      fc_out_replay ns pkt v
+    | Some v when v.fc_stamp = stamp -> (
+      ns.fc_hits <- ns.fc_hits + 1;
+      match v.fc_v with
+      | Fc_out_local -> deliver_locally ns pkt
+      | Fc_out_tx tx ->
+        (* Translation is per-packet work (it rewrites each packet of a
+           bound flow); the chains stay skipped either because the flow
+           is translated (Linux semantics) or because they were observed
+           to be a no-op for this flow. *)
+        let pkt, _ = Conntrack.translate ns.ct_tbl pkt in
+        send_ip_frame ns tx.fc_dev ~dst_mac:tx.fc_mac pkt)
     | Some _ | None ->
       ns.fc_misses <- ns.fc_misses + 1;
       ip_output_slow ns pkt ~install:(fun v ->
-          fc_install ns.out_cache key
-            { fc_stamp = stamp; fc_ngen = fc_out_ngen ns v; fc_v = v })
+          fc_install ns.out_cache key { fc_stamp = stamp; fc_v = v })
 
 (* ------------------------------------------------------------------ *)
 (* TCP                                                                 *)
 
 let conn_key_of c = (c.c_local_port, c.c_remote_ip, c.c_remote_port)
 
-let tcp_register c =
-  sock_mutated c.c_ns;
-  Hashtbl.replace c.c_ns.conns (conn_key_of c) c
+let tcp_register c = Hashtbl.replace c.c_ns.conns (conn_key_of c) c
 
-let tcp_unregister c =
-  sock_mutated c.c_ns;
-  Hashtbl.remove c.c_ns.conns (conn_key_of c)
+let tcp_unregister c = Hashtbl.remove c.c_ns.conns (conn_key_of c)
 
 let tcp_make_segment c ~flags ~seq ~len ~msgs =
   let seg =
@@ -1177,7 +1061,7 @@ let ip_input ns (dev : Dev.t) (pkt : Packet.t) =
     let key = (dev.Dev.name, Conntrack.flow_of_packet pkt) in
     let stamp = fc_stamp ns in
     match Hashtbl.find_opt ns.in_cache key with
-    | Some v when v.fc_stamp = stamp && fc_in_live ns v -> (
+    | Some v when v.fc_stamp = stamp -> (
       ns.fc_hits <- ns.fc_hits + 1;
       let pkt, _ = Conntrack.translate ns.ct_tbl pkt in
       match v.fc_v with
@@ -1196,8 +1080,7 @@ let ip_input ns (dev : Dev.t) (pkt : Packet.t) =
     | Some _ | None ->
       ns.fc_misses <- ns.fc_misses + 1;
       ip_input_slow ns dev pkt ~install:(fun v ->
-          fc_install ns.in_cache key
-            { fc_stamp = stamp; fc_ngen = fc_in_ngen ns v; fc_v = v })
+          fc_install ns.in_cache key { fc_stamp = stamp; fc_v = v })
 
 let dev_rx ns dev frame =
   (* L2 address filter. *)
@@ -1255,9 +1138,8 @@ let create engine ~name ~costs ?(with_loopback = true) ?rng () =
         Nest_sim.Prng.split
           (match rng with Some r -> r | None -> Engine.rng engine);
       fc_enabled = default_flow_cache (); fc_gen = 0;
-      sock_gen = 0; neigh_gen = Hashtbl.create 16;
       out_cache = Hashtbl.create 64; in_cache = Hashtbl.create 64;
-      fc_hits = 0; fc_misses = 0; fc_inval_full = 0; fc_inval_scoped = 0;
+      fc_hits = 0; fc_misses = 0; fc_inval_full = 0;
       fc_seen_rt = 0; fc_seen_nf = 0; fc_seen_ct = 0 }
   in
   (* Each namespace owns its costs record (Kernel_costs.stack_costs builds
@@ -1299,9 +1181,6 @@ let create engine ~name ~costs ?(with_loopback = true) ?rng () =
   Metrics.gauge_probe m
     (Printf.sprintf "fc.invalidate.%s.full" name)
     (fun () -> float_of_int ns.fc_inval_full);
-  Metrics.gauge_probe m
-    (Printf.sprintf "fc.invalidate.%s.scoped" name)
-    (fun () -> float_of_int ns.fc_inval_scoped);
   ns
 
 (* ------------------------------------------------------------------ *)
@@ -1320,7 +1199,6 @@ module Udp = struct
         u_closed = false }
     in
     Hashtbl.replace ns.udp_binds port s;
-    sock_mutated ns;
     s
 
   let sendto ?prov s ~dst ~dst_port payload =
@@ -1339,65 +1217,8 @@ module Udp = struct
       ~bytes:(Packet.len pkt)
       (fun () -> ip_output ns pkt)
 
-  (* A pinned destination for a socket: memoizes the source-address
-     selection, the syscall/NAT surcharge, and (once warm) the composed
-     egress verdict, all validated against the namespace stamp so a warm
-     send is indistinguishable from [sendto] — same packet bytes, same
-     hop costs, same delivery-time table consultation. *)
-  type flow = {
-    uf_sock : sock;
-    uf_dst : Ipv4.t;
-    uf_dport : int;
-    mutable uf_stamp : int;
-    mutable uf_src : Ipv4.t;
-    mutable uf_extra_ns : int;
-    mutable uf_v : fc_out fc_verdict option;
-  }
-
-  let flow s ~dst ~dst_port =
-    { uf_sock = s; uf_dst = dst; uf_dport = dst_port; uf_stamp = min_int;
-      uf_src = dst; uf_extra_ns = 0; uf_v = None }
-
-  let flow_send ?prov uf payload =
-    let s = uf.uf_sock in
-    let ns = s.u_ns in
-    if not ns.fc_enabled then
-      sendto ?prov s ~dst:uf.uf_dst ~dst_port:uf.uf_dport payload
-    else begin
-      let stamp = fc_stamp ns in
-      if uf.uf_stamp <> stamp then begin
-        (* Same lookups [sendto] performs at send time, revalidated by
-           the stamp that already covers route and netfilter state. *)
-        uf.uf_src <- src_for ns uf.uf_dst;
-        uf.uf_extra_ns <- ns.cs.syscall.Hop.fixed_ns + nat_surcharge ns;
-        uf.uf_stamp <- stamp;
-        uf.uf_v <- None
-      end;
-      let prov = match prov with Some _ as p -> p | None -> fresh_prov ns in
-      let pkt =
-        Packet.make ~traced:ns.trace_all ?prov ~src:uf.uf_src ~dst:uf.uf_dst
-          (Packet.Udp { src_port = s.u_port; dst_port = uf.uf_dport; payload })
-      in
-      Hop.service_prov ?prov:(Packet.prov pkt) ~extra_ns:uf.uf_extra_ns
-        ns.cs.tx ~bytes:(Packet.len pkt)
-        (fun () ->
-          (* Consult at delivery time, exactly like [ip_output]: table
-             state may have moved while the datagram sat in the tx hop. *)
-          match uf.uf_v with
-          | Some v
-            when ns.fc_enabled && v.fc_stamp = fc_stamp ns
-                 && fc_out_live ns pkt v ->
-            fc_out_replay ns pkt v
-          | _ ->
-            ip_output ns pkt;
-            if ns.fc_enabled then
-              uf.uf_v <-
-                Hashtbl.find_opt ns.out_cache (Conntrack.flow_of_packet pkt))
-    end
-
   let close s =
     s.u_closed <- true;
-    sock_mutated s.u_ns;
     Hashtbl.remove s.u_ns.udp_binds s.u_port
 
   let port s = s.u_port
@@ -1411,12 +1232,9 @@ module Tcp = struct
     if Hashtbl.mem ns.listeners port then
       failwith
         (Printf.sprintf "Stack.Tcp.listen: port %d busy in %s" port ns.ns_name);
-    Hashtbl.replace ns.listeners port { l_on_accept = on_accept };
-    sock_mutated ns
+    Hashtbl.replace ns.listeners port { l_on_accept = on_accept }
 
-  let unlisten ns ~port =
-    sock_mutated ns;
-    Hashtbl.remove ns.listeners port
+  let unlisten ns ~port = Hashtbl.remove ns.listeners port
 
   let connect ns ~dst ~port ?src ~on_established ?(on_close = fun () -> ()) () =
     let local_ip =

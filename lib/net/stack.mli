@@ -117,15 +117,11 @@ val garp : ns -> Dev.t -> Ipv4.t -> unit
     saturation guard disables the cache outright should the sum ever
     approach [max_int].
 
-    Two finer-grained generations avoid storm-wide flushes: a neighbour
-    MAC move bumps only that destination's generation (verdicts embed
-    the generation of the next hop they resolved), and socket-table
-    mutations bump a socket generation consulted only by reflector
-    (Hostlo) verdicts, whose local-deliver-vs-reflect decision depends
-    on live socket state.  Reflector endpoint devices additionally
-    carry a binding generation ({!Dev.bump_binding}) bumped when a
-    device is claimed or rebound, so failover cannot serve a dead VM's
-    binding.
+    A neighbour MAC move (or ARP expiry) counts as a table change and
+    invalidates every verdict; re-learning an unchanged MAC invalidates
+    nothing.  Reflector (Hostlo) egress to the pod's own localhost is
+    not cached: its local-deliver-vs-reflect decision depends on live
+    socket state and is taken per packet.
 
     Per-packet work (conntrack translation, TTL, hop costing, delivery
     counters) still runs on cached packets: simulated time and results
@@ -152,12 +148,12 @@ val flow_cache_stats : ns -> int * int
 (** [(hits, misses)] of the fast path since namespace creation (also
     exported as [ns.<name>.flow_cache_hits]/[..._misses] gauges). *)
 
-val flow_cache_invalidations : ns -> int * int
-(** [(full, scoped)] invalidation counts: full flushes (address/device/
-    route-table mutations, whole-cache ARP flush) versus scoped
-    per-neighbour invalidations (MAC moves, single-entry ARP expiry).
-    Also exported as [fc.invalidate.<name>.full]/[.scoped] gauges — a
-    GARP storm shows up as a scoped burst with the hit rate intact. *)
+val flow_cache_invalidations : ns -> int
+(** Whole-cache invalidations (address/device/forwarding-flag mutations,
+    neighbour MAC moves, ARP expiry), also exported as the
+    [fc.invalidate.<name>.full] gauge.  Route, netfilter and conntrack
+    changes invalidate through their own generations and are not
+    counted here. *)
 
 val set_observer : ns -> (Packet.t -> unit) option -> unit
 (** Debug tap invoked for every packet delivered to a local socket in
@@ -186,20 +182,6 @@ module Udp : sig
       tunnel threads the inner frame's record onto the outer packet this
       way; by default a record is minted iff {!set_provenance_all} is
       on. *)
-
-  type flow
-  (** A socket pinned to one destination: memoizes source-address
-      selection, the send-time cost surcharge, and the composed egress
-      verdict, all stamp-validated so {!flow_send} is byte- and
-      time-identical to {!sendto} — it only skips re-deriving state the
-      stamp proves unchanged. *)
-
-  val flow : sock -> dst:Ipv4.t -> dst_port:int -> flow
-
-  val flow_send : ?prov:Nest_sim.Provenance.t -> flow -> Payload.t -> unit
-  (** Like {!sendto} on the pinned destination, via the composed fast
-      path when the namespace flow cache is enabled (plain [sendto]
-      otherwise). *)
 
   val close : sock -> unit
   val port : sock -> int

@@ -12,11 +12,8 @@ open Nest_net
 
 type t
 
-val create : Node.t -> t
-(** One agent per node (idempotent per node — see {!of_node}). *)
-
 val of_node : Node.t -> t
-(** The node's agent, creating it on first use. *)
+(** The node's agent (one per node: the same agent on every call). *)
 
 val node : t -> Node.t
 

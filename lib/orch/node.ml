@@ -1,3 +1,5 @@
+type agent = { mutable configured : int; mutable retries : int }
+
 type t = {
   node_vm : Nest_virt.Vm.t;
   node_docker : Nest_container.Engine.t;
@@ -6,6 +8,7 @@ type t = {
   mutable cpu_req : float;
   mutable mem_req : float;
   mutable node_ready : bool;
+  node_agent : agent;
 }
 
 let create vm =
@@ -14,11 +17,13 @@ let create vm =
       Nest_container.Engine.create vm ~name:(Nest_virt.Vm.name vm ^ ":docker");
     cpu_cap = float_of_int (Nest_virt.Vm.vcpus vm);
     mem_cap = float_of_int (Nest_virt.Vm.mem_mb vm) /. 1024.0;
-    cpu_req = 0.0; mem_req = 0.0; node_ready = true }
+    cpu_req = 0.0; mem_req = 0.0; node_ready = true;
+    node_agent = { configured = 0; retries = 0 } }
 
 let vm t = t.node_vm
 let docker t = t.node_docker
 let name t = Nest_virt.Vm.name t.node_vm
+let agent t = t.node_agent
 let cpu_capacity t = t.cpu_cap
 let mem_capacity t = t.mem_cap
 let cpu_requested t = t.cpu_req

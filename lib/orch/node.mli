@@ -3,12 +3,17 @@
 
 type t
 
+type agent = { mutable configured : int; mutable retries : int }
+(** The node agent's books (see {!Kubelet}): NICs configured and hot-plug
+    retries.  They live on the node so the agent needs no registry. *)
+
 val create : Nest_virt.Vm.t -> t
 (** Capacity is the VM's vCPU count and memory. *)
 
 val vm : t -> Nest_virt.Vm.t
 val docker : t -> Nest_container.Engine.t
 val name : t -> string
+val agent : t -> agent
 
 val cpu_capacity : t -> float
 val mem_capacity : t -> float

@@ -305,6 +305,30 @@ let test_kubelet_agent () =
     (String.length (Kubelet.status kl) > 0
     && String.sub (Kubelet.status kl) 0 3 = "vm1")
 
+(* Deploys one NIC through the node's agent and hands back only a weak
+   pointer to the node, so no frame of the caller keeps it reachable. *)
+let[@inline never] deploy_weak_node () =
+  let tb = world () in
+  let node = Nestfusion.Testbed.node tb 0 in
+  let kl = Kubelet.of_node node in
+  let netns = Nest_virt.Vm.new_netns (Node.vm node) ~name:"p" () in
+  Nest_virt.Vmm.hotplug_nic_mac tb.Nestfusion.Testbed.vmm ~vm:(Node.vm node)
+    ~bridge:"virbr0" ~id:"n1"
+    ~k:(function
+      | Error e -> Alcotest.fail ("hotplug failed: " ^ e)
+      | Ok mac -> Kubelet.configure_nic kl ~netns ~mac ~k:ignore ());
+  Nestfusion.Testbed.run_until tb (Time.sec 1);
+  Alcotest.(check int) "configured" 1 (Kubelet.pods_configured kl);
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some node);
+  w
+
+let test_kubelet_releases_node () =
+  let w = deploy_weak_node () in
+  Gc.full_major ();
+  Alcotest.(check bool) "node collected with its testbed" false
+    (Weak.check w 0)
+
 let test_overlay_pods_isolated_network () =
   (* Two pods on the same overlay get distinct addresses and can talk. *)
   let tb = world ~num_vms:2 () in
@@ -351,5 +375,7 @@ let () =
           Alcotest.test_case "overlay isolation" `Quick
             test_overlay_pods_isolated_network;
           Alcotest.test_case "kubelet agent" `Quick test_kubelet_agent;
+          Alcotest.test_case "kubelet releases node" `Quick
+            test_kubelet_releases_node;
           Alcotest.test_case "nat ip released" `Quick
             test_nat_ip_released_on_stop ] ) ]

@@ -67,7 +67,7 @@ let test_jobs_fanout_deterministic () =
         (List.nth seq i) (List.nth par i))
     cells
 
-(* The composed-verdict fast path must be invisible to chaos outcomes:
+(* The flow cache must be invisible to chaos outcomes:
    the same cell run mechanisms-off (flow cache disabled process-wide)
    must produce byte-identical digests, including through failover
    (standby claims) and recovery GARP bursts. *)
