@@ -89,21 +89,21 @@ let kernel_engine_events () =
   done;
   Nest_sim.Engine.run e
 
-(* Heap-vs-Wheel head-to-head under engine-like churn: seed a batch,
-   then every extraction schedules one near-future follow-up (the
-   pattern the event loop produces).  Near-future pushes are the timing
-   wheel's O(1) case; the heap pays log n on both sides. *)
-let queue_churn ~push ~pop =
+(* The engine's queue under engine-like churn: seed a batch, then every
+   extraction schedules one near-future follow-up (the pattern the event
+   loop produces, and the timing wheel's O(1) case). *)
+let kernel_exec_queue_wheel () =
+  let w = Nest_sim.Wheel.create () in
   let pushed = ref 0 in
   let push ~prio v =
     incr pushed;
-    push ~prio v
+    Nest_sim.Wheel.push w ~prio v
   in
   for i = 1 to 256 do
     push ~prio:(i * 13) i
   done;
   let rec loop () =
-    match pop () with
+    match Nest_sim.Wheel.pop w with
     | None -> ()
     | Some (p, v) ->
       if !pushed < 5_000 then push ~prio:(p + 1 + ((v * 7) land 1023)) (v + 1);
@@ -111,17 +111,37 @@ let queue_churn ~push ~pop =
   in
   loop ()
 
-let kernel_exec_queue_heap () =
-  let h = Nest_sim.Heap.create () in
-  queue_churn
-    ~push:(fun ~prio v -> Nest_sim.Heap.push h ~prio v)
-    ~pop:(fun () -> Nest_sim.Heap.pop h)
+(* The per-hop primitive: every datapath hop is one [Exec.submit].  A
+   guest-vCPU-shaped context (primary + secondary accounting, bound to a
+   4-core Cpu_set) takes [exec_submits] submissions, then the engine
+   runs them.  The context outlives the runs, as in a simulation. *)
+let exec_submits = 1_000
 
-let kernel_exec_queue_wheel () =
-  let w = Nest_sim.Wheel.create () in
-  queue_churn
-    ~push:(fun ~prio v -> Nest_sim.Wheel.push w ~prio v)
-    ~pop:(fun () -> Nest_sim.Wheel.pop w)
+let exec_submit_kernel () =
+  let e = Nest_sim.Engine.create () in
+  let acct = Nest_sim.Cpu_account.create () in
+  let cpus = Nest_sim.Cpu_set.create ~cores:4 ~name:"vm1" in
+  let x =
+    Nest_sim.Exec.create
+      ~account:(acct, "vm1", Nest_sim.Cpu_account.Soft)
+      ~also:[ (acct, "host", Nest_sim.Cpu_account.Guest) ]
+      ~cpus e ~name:"vm1:vcpu"
+  in
+  let k () = () in
+  fun () ->
+    for _ = 1 to exec_submits do
+      Nest_sim.Exec.submit x ~cost:100 k
+    done;
+    Nest_sim.Engine.run e
+
+(* Minor words allocated per submission (event included), from one
+   warmed-up kernel call: deterministic, so it needs no repetitions. *)
+let exec_submit_words () =
+  let kernel = exec_submit_kernel () in
+  kernel ();
+  let w0 = Gc.minor_words () in
+  kernel ();
+  (Gc.minor_words () -. w0) /. float_of_int exec_submits
 
 (* Exactly-once hot-plug: every first Device_add loses its ack after
    applying (Partial_timeout), so every retry answers from the reply
@@ -227,8 +247,8 @@ let micro_tests =
     Test.make ~name:"fig15:netperf-natx"
       (Staged.stage (kernel_netperf_pair ~mode:`NatX));
     Test.make ~name:"engine:1k-events" (Staged.stage kernel_engine_events);
-    Test.make ~name:"exec_queue:heap" (Staged.stage kernel_exec_queue_heap);
     Test.make ~name:"exec_queue:wheel" (Staged.stage kernel_exec_queue_wheel);
+    Test.make ~name:"exec:submit" (Staged.stage (exec_submit_kernel ()));
     Test.make ~name:"net:conntrack-snat" (Staged.stage kernel_conntrack);
     Test.make ~name:"vmm:qmp-dedupe" (Staged.stage kernel_qmp_dedupe);
     Test.make ~name:"admission:fixed" (Staged.stage kernel_admission_fixed);
@@ -533,8 +553,8 @@ let run_fastpath () =
 (* Machine-readable output (--json PATH): micro rows, observability
    overhead and fan-out scaling as one BENCH_*.json document. *)
 
-let write_json ~path ~rows ~overhead ~scaling ~shard_scaling ~fleet_scaling
-    ~fastpath =
+let write_json ~path ~rows ~exec_words ~overhead ~scaling ~shard_scaling
+    ~fleet_scaling ~fastpath =
   let esc = Nest_sim.Trace.json_escape in
   let b = Buffer.create 4096 in
   let fl v = if Float.is_nan v then "null" else Printf.sprintf "%.3f" v in
@@ -561,6 +581,17 @@ let write_json ~path ~rows ~overhead ~scaling ~shard_scaling ~fleet_scaling
          (fl (get "paper/admission:burn"))
          (fl (get "paper/admission:codel")))
   | None -> ());
+  (* The per-hop primitive per submission rather than per 1000-submit
+     run, next to its allocation. *)
+  (match (List.assoc_opt "paper/exec:submit" rows, exec_words) with
+  | Some ns, Some words ->
+    Buffer.add_string b
+      (Printf.sprintf
+         "  \"exec_submit\": {\"ns_per_submit\": %s, \"words_per_submit\": \
+          %s},\n"
+         (fl (ns /. float_of_int exec_submits))
+         (fl words))
+  | _ -> ());
   (match overhead with
   | None -> ()
   | Some (off, tm, tmp, tmps) ->
@@ -764,8 +795,8 @@ let () =
     (match !json with
     | None -> ()
     | Some path ->
-      write_json ~path ~rows:[] ~overhead ~scaling:None ~shard_scaling:None
-        ~fleet_scaling:None ~fastpath:None);
+      write_json ~path ~rows:[] ~exec_words:None ~overhead ~scaling:None
+        ~shard_scaling:None ~fleet_scaling:None ~fastpath:None);
     exit 0
   end;
   if not micro_only then begin
@@ -780,6 +811,13 @@ let () =
         ids
   end;
   let rows = run_micro () in
+  let exec_words = exec_submit_words () in
+  (match List.assoc_opt "paper/exec:submit" rows with
+  | Some ns ->
+    Printf.printf "exec:submit per submission: %.1f ns, %.2f minor words\n"
+      (ns /. float_of_int exec_submits)
+      exec_words
+  | None -> ());
   let overhead = Some (run_overhead ()) in
   let fastpath = Some (run_fastpath ()) in
   let scaling =
@@ -794,8 +832,8 @@ let () =
   (match !json with
   | None -> ()
   | Some path ->
-    write_json ~path ~rows ~overhead ~scaling ~shard_scaling ~fleet_scaling
-      ~fastpath);
+    write_json ~path ~rows ~exec_words:(Some exec_words) ~overhead ~scaling
+      ~shard_scaling ~fleet_scaling ~fastpath);
   let ok = ref true in
   (match !baseline with
   | None -> ()

@@ -10,12 +10,13 @@ type t = {
   fdb_tbl : (Mac.t, entry) Hashtbl.t;
   mutable forwarded : int;
   hop_ctr : Nest_sim.Metrics.counter;
+  hop_site : Nest_sim.Engine.site;
 }
 
 let input t port frame =
   Frame.record_hop frame t.br_name;
   Nest_sim.Metrics.bump t.hop_ctr ();
-  Nest_sim.Engine.trace_instant t.engine ~cat:"hop" ~name:t.br_name ();
+  Nest_sim.Engine.trace_site t.engine t.hop_site;
   (* Source learning. *)
   if not (Mac.is_broadcast frame.Frame.src) then begin
     match Hashtbl.find_opt t.fdb_tbl frame.Frame.src with
@@ -62,7 +63,8 @@ let create engine ~name ~hop ?(aging_ns = Nest_sim.Time.sec 300) ~self_mac () =
       fdb_tbl = Hashtbl.create 32; forwarded = 0;
       hop_ctr =
         Nest_sim.Metrics.counter (Nest_sim.Engine.metrics engine)
-          ("hop." ^ name) }
+          ("hop." ^ name);
+      hop_site = Nest_sim.Engine.site ~cat:"hop" ~name () }
   in
   (* Stack transmissions on the self device enter the switching plane. *)
   Dev.set_tx self (fun frame -> input t self frame);

@@ -10,30 +10,40 @@ type rule = {
   action : ctx -> Packet.t -> verdict;
 }
 
+(* Chains indexed by [hook_index]; [total] is the rule count over all
+   hooks, maintained by [append]/[remove] because the stack reads it on
+   every transmit (the NAT surcharge). *)
 type t = {
-  chains : (hook, rule list ref) Hashtbl.t;
+  chains : rule list array;
+  mutable total : int;
   mutable hits : int;
   mutable gen : int;
 }
 
-let all_hooks = [ Prerouting; Input; Forward; Output; Postrouting ]
+let hook_index = function
+  | Prerouting -> 0
+  | Input -> 1
+  | Forward -> 2
+  | Output -> 3
+  | Postrouting -> 4
 
-let create () =
-  let chains = Hashtbl.create 8 in
-  List.iter (fun h -> Hashtbl.add chains h (ref [])) all_hooks;
-  { chains; hits = 0; gen = 0 }
+let create () = { chains = Array.make 5 []; total = 0; hits = 0; gen = 0 }
 
-let chain t hook = Hashtbl.find t.chains hook
+let chain t hook = t.chains.(hook_index hook)
 
 let append t hook rule =
-  let c = chain t hook in
+  let i = hook_index hook in
   t.gen <- t.gen + 1;
-  c := !c @ [ rule ]
+  t.chains.(i) <- t.chains.(i) @ [ rule ];
+  t.total <- t.total + 1
 
 let remove t hook name =
-  let c = chain t hook in
+  let i = hook_index hook in
+  let before = t.chains.(i) in
+  let after = List.filter (fun r -> r.rule_name <> name) before in
   t.gen <- t.gen + 1;
-  c := List.filter (fun r -> r.rule_name <> name) !c
+  t.chains.(i) <- after;
+  t.total <- t.total - (List.length before - List.length after)
 
 let run t hook ctx pkt =
   let rec go pkt = function
@@ -47,10 +57,11 @@ let run t hook ctx pkt =
         | Mangle pkt' -> go pkt' rest
       else go pkt rest
   in
-  go pkt !(chain t hook)
+  go pkt (chain t hook)
 
-let rule_count t hook = List.length !(chain t hook)
-let rule_names t hook = List.map (fun r -> r.rule_name) !(chain t hook)
+let rule_count t hook = List.length (chain t hook)
+let total_rules t = t.total
+let rule_names t hook = List.map (fun r -> r.rule_name) (chain t hook)
 let hits t = t.hits
 let generation t = t.gen
 let no_ctx = { in_dev = None; out_dev = None }

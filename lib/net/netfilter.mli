@@ -37,6 +37,10 @@ val run : t -> hook -> ctx -> Packet.t -> Packet.t option
     [Mangle] rewrites and continues with subsequent rules. *)
 
 val rule_count : t -> hook -> int
+
+val total_rules : t -> int
+(** Sum of {!rule_count} over all five hooks, read in O(1). *)
+
 val rule_names : t -> hook -> string list
 val hits : t -> int
 (** Total rule evaluations (diagnostics; a proxy for hook work).  Note

@@ -100,8 +100,10 @@ and tcp_conn = {
   mutable ssthresh : int;
   mutable peer_wnd : int;
   tx_boundaries : (int * Payload.app_msg) Queue.t;  (* untransmitted *)
-  mutable inflight : (int * int * (int * Payload.app_msg) list) list;
-      (* (seq, len, msgs), ascending seq; for retransmission *)
+  inflight : (int * int * (int * Payload.app_msg) list) Queue.t;
+      (* (seq, len, msgs) for retransmission.  Pushed at [snd_nxt], which
+         never decreases, so entries are contiguous and ascending: an ACK
+         retires a prefix. *)
   mutable rto_armed : bool;
   mutable rto_una_at_arm : int;
   mutable rto_backoff : int;
@@ -148,6 +150,10 @@ and ns = {
   mutable prov_tick : int;  (* 1-in-N sampling countdown, see fresh_prov *)
   cnt : ns_counters;
   mutable lo : Dev.t option;
+  (* Trace sites of the per-packet instants: delivery and the loopback
+     hop (named after [lo], which is always "<ns_name>:lo"). *)
+  delivered_site : Engine.site;
+  lo_site : Engine.site;
   mutable observer : (Packet.t -> unit) option;
   ns_rng : Nest_sim.Prng.t;
   (* Flow cache (see the comment on [fc_tx]). *)
@@ -181,7 +187,7 @@ let wakeup_delay ns =
    the two being updated at the same site. *)
 let note_delivered ns =
   ns.cnt.delivered <- ns.cnt.delivered + 1;
-  Engine.trace_instant ns.eng ~cat:"pkt" ~name:ns.ns_name ~arg:"delivered" ()
+  Engine.trace_site ns.eng ns.delivered_site
 
 let note_drop ?(n = 1) ns reason =
   (match reason with
@@ -336,19 +342,12 @@ let flow_cache_invalidations ns = ns.fc_inval_full
 (* Netfilter is "armed" once any rule exists; armed namespaces pay the
    [nat] hop surcharge on their datapath — a fixed hook cost plus a
    per-rule term (Docker's chains are long) — which is exactly the
-   per-packet work BrFusion eliminates inside the VM. *)
-let all_hooks =
-  [ Netfilter.Prerouting; Netfilter.Input; Netfilter.Forward;
-    Netfilter.Output; Netfilter.Postrouting ]
-
-let total_rules ns =
-  List.fold_left (fun a h -> a + Netfilter.rule_count ns.nf_tbl h) 0 all_hooks
-
-let nf_armed ns = total_rules ns > 0 || Conntrack.entry_count ns.ct_tbl > 0
-
+   per-packet work BrFusion eliminates inside the VM.  Runs on every
+   transmit, so the rule total is the one Netfilter maintains. *)
 let nat_surcharge ns =
-  if nf_armed ns then
-    ns.cs.nat.Hop.fixed_ns + (ns.cs.nat_per_rule_ns * total_rules ns)
+  let rules = Netfilter.total_rules ns.nf_tbl in
+  if rules > 0 || Conntrack.entry_count ns.ct_tbl > 0 then
+    ns.cs.nat.Hop.fixed_ns + (ns.cs.nat_per_rule_ns * rules)
   else 0
 
 (* ------------------------------------------------------------------ *)
@@ -526,7 +525,7 @@ let deliver_locally ns pkt =
       (match ns.lo with
       | Some lo ->
         Packet.record_hop pkt lo.Dev.name;
-        Engine.trace_instant ns.eng ~cat:"hop" ~name:lo.Dev.name ()
+        Engine.trace_site ns.eng ns.lo_site
       | None -> ());
       !ip_local_input_ref ns pkt)
 
@@ -663,10 +662,10 @@ and tcp_rto_fire c =
                ~flags:{ flags_ack with Tcp_wire.syn = true }
                ~seq:0 ~len:0 ~msgs:[])
         | _ -> (
-          match c.inflight with
-          | [] -> ()
-          | (seq, len, msgs) :: _ ->
-            tcp_xmit c (tcp_make_segment c ~flags:flags_ack ~seq ~len ~msgs)));
+          if not (Queue.is_empty c.inflight) then begin
+            let seq, len, msgs = Queue.peek c.inflight in
+            tcp_xmit c (tcp_make_segment c ~flags:flags_ack ~seq ~len ~msgs)
+          end));
         tcp_arm_rto c
       end
       else tcp_arm_rto c
@@ -692,7 +691,7 @@ let rec tcp_pump c =
         let msgs = List.rev !msgs in
         let seq = c.snd_nxt in
         c.snd_nxt <- seg_end;
-        c.inflight <- c.inflight @ [ (seq, len, msgs) ];
+        Queue.push (seq, len, msgs) c.inflight;
         tcp_arm_rto c;
         tcp_xmit c (tcp_make_segment c ~flags:flags_ack ~seq ~len ~msgs);
         tcp_pump c
@@ -766,13 +765,13 @@ let tcp_rx_data c (seg : Tcp_wire.t) =
 let tcp_fast_retransmit c =
   (* RFC 5681-style: three duplicate ACKs signal a lost segment; resend
      the first unacknowledged one and halve the congestion window. *)
-  match c.inflight with
-  | [] -> ()
-  | (seq, len, msgs) :: _ ->
+  if not (Queue.is_empty c.inflight) then begin
+    let seq, len, msgs = Queue.peek c.inflight in
     c.c_retransmits <- c.c_retransmits + 1;
     c.ssthresh <- max (2 * c.c_mss) ((c.snd_nxt - c.snd_una) / 2);
     c.cwnd <- max (2 * c.c_mss) c.ssthresh;
     tcp_xmit c (tcp_make_segment c ~flags:flags_ack ~seq ~len ~msgs)
+  end
 
 let tcp_rx_ack c (seg : Tcp_wire.t) =
   if seg.Tcp_wire.flags.Tcp_wire.ack then begin
@@ -788,8 +787,14 @@ let tcp_rx_ack c (seg : Tcp_wire.t) =
       c.snd_una <- ack;
       c.rto_backoff <- 0;
       c.dup_acks <- 0;
-      c.inflight <-
-        List.filter (fun (seq, len, _) -> seq + len > ack) c.inflight;
+      while
+        (not (Queue.is_empty c.inflight))
+        &&
+        let seq, len, _ = Queue.peek c.inflight in
+        seq + len <= ack
+      do
+        ignore (Queue.pop c.inflight)
+      done;
       (* Slow start below ssthresh, linear growth above, capped at the
          advertised receive window. *)
       if c.cwnd < c.ssthresh then c.cwnd <- c.cwnd + min acked c.c_mss
@@ -896,8 +901,9 @@ let tcp_fresh_conn ns ~local_ip ~local_port ~remote_ip ~remote_port ~state =
     c_state = state; snd_una = 0; snd_nxt = 0; send_off = 0;
     cwnd = init_cwnd_segments * mss; ssthresh = rcvwnd_default;
     peer_wnd = rcvwnd_default; tx_boundaries = Queue.create ();
-    inflight = []; rto_armed = false; rto_una_at_arm = 0; rto_backoff = 0;
-    dup_acks = 0; c_retransmits = 0; rcv_nxt = 0; delivered_off = 0; ooo = [];
+    inflight = Queue.create (); rto_armed = false; rto_una_at_arm = 0;
+    rto_backoff = 0; dup_acks = 0; c_retransmits = 0; rcv_nxt = 0;
+    delivered_off = 0; ooo = [];
     rcv_pending = Hashtbl.create 8; pending_ack_segs = 0;
     delack_armed = false;
     on_receive = (fun ~bytes:_ ~msgs:_ -> ());
@@ -1134,6 +1140,8 @@ let create engine ~name ~costs ?(with_loopback = true) ?rng () =
       icmp_waiters = Hashtbl.create 4; next_eph = ephemeral_base;
       next_icmp_id = 1; fwd = false; trace_all = false; prov_all = false;
       prov_tick = 0; cnt; lo = None; observer = None;
+      delivered_site = Engine.site ~cat:"pkt" ~name ~arg:"delivered" ();
+      lo_site = Engine.site ~cat:"hop" ~name:(name ^ ":lo") ();
       ns_rng =
         Nest_sim.Prng.split
           (match rng with Some r -> r | None -> Engine.rng engine);

@@ -18,12 +18,13 @@ and t = {
   mutable exhausted : bool;
   mutable tap_drops : int;
   hop_ctr : Nest_sim.Metrics.counter;
+  hop_site : Nest_sim.Engine.site;
 }
 
 let note_hop t frame =
   Frame.record_hop frame t.tap_name;
   Nest_sim.Metrics.bump t.hop_ctr ();
-  Nest_sim.Engine.trace_instant t.engine ~cat:"hop" ~name:t.tap_name ()
+  Nest_sim.Engine.trace_site t.engine t.hop_site
 
 let host_input t frame =
   (* Host side -> guest(s).  With several queues the kernel hashes flows;
@@ -50,7 +51,8 @@ let create engine ~name ~mode ~hop ?(per_queue_ns = 0) ~mac () =
       tap_drops = 0;
       hop_ctr =
         Nest_sim.Metrics.counter (Nest_sim.Engine.metrics engine)
-          ("hop." ^ name) }
+          ("hop." ^ name);
+      hop_site = Nest_sim.Engine.site ~cat:"hop" ~name () }
   in
   Dev.set_tx host_side (fun frame -> host_input t frame);
   t

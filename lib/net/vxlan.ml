@@ -19,6 +19,11 @@ type t = {
   mutable decapsulated : int;
   encap_ctr : Nest_sim.Metrics.counter;
   decap_ctr : Nest_sim.Metrics.counter;
+  (* "<name>:encap" / "<name>:decap": hop names and their trace sites. *)
+  encap_name : string;
+  decap_name : string;
+  encap_site : Nest_sim.Engine.site;
+  decap_site : Nest_sim.Engine.site;
 }
 
 let decap t (payload : Payload.t) =
@@ -26,9 +31,8 @@ let decap t (payload : Payload.t) =
   | Some (Vxlan_encap inner) ->
     t.decapsulated <- t.decapsulated + 1;
     Nest_sim.Metrics.bump t.decap_ctr ();
-    Frame.record_hop inner (t.vtep_name ^ ":decap");
-    Nest_sim.Engine.trace_instant (Stack.engine t.underlay) ~cat:"hop"
-      ~name:(t.vtep_name ^ ":decap") ();
+    Frame.record_hop inner t.decap_name;
+    Nest_sim.Engine.trace_site (Stack.engine t.underlay) t.decap_site;
     Hop.service_prov ?prov:(Frame.prov inner) t.decap_hop
       ~bytes:(Frame.len inner) (fun () -> Dev.deliver t.overlay_dev inner)
   | Some _ | None -> ()
@@ -45,9 +49,8 @@ let encap t (inner : Frame.t) =
   let targets = remotes_for t inner in
   if targets <> [] then begin
     Nest_sim.Metrics.bump t.encap_ctr ();
-    Frame.record_hop inner (t.vtep_name ^ ":encap");
-    Nest_sim.Engine.trace_instant (Stack.engine t.underlay) ~cat:"hop"
-      ~name:(t.vtep_name ^ ":encap") ();
+    Frame.record_hop inner t.encap_name;
+    Nest_sim.Engine.trace_site (Stack.engine t.underlay) t.encap_site;
     let payload =
       Payload.make ~size:(Frame.len inner + vxlan_header_bytes)
         (Vxlan_encap inner)
@@ -74,8 +77,9 @@ let encap t (inner : Frame.t) =
 let create underlay ~name ~vni ~local ?(udp_port = default_port) ~encap_hop
     ~decap_hop () =
   ignore local;
-  Hop.set_name encap_hop (name ^ ":encap");
-  Hop.set_name decap_hop (name ^ ":decap");
+  let encap_name = name ^ ":encap" and decap_name = name ^ ":decap" in
+  Hop.set_name encap_hop encap_name;
+  Hop.set_name decap_hop decap_name;
   let overlay_dev =
     Dev.create ~mtu:overlay_mtu ~name:(name ^ ".vtep")
       ~mac:(Mac.of_int (0x0242000000 lor (vni land 0xffffff)))
@@ -91,7 +95,10 @@ let create underlay ~name ~vni ~local ?(udp_port = default_port) ~encap_hop
         overlay_dev; encap_hop; decap_hop; fdb = Hashtbl.create 16;
         remotes = []; encapsulated = 0; decapsulated = 0;
         encap_ctr = Nest_sim.Metrics.counter metrics ("hop." ^ name ^ ".encap");
-        decap_ctr = Nest_sim.Metrics.counter metrics ("hop." ^ name ^ ".decap") }
+        decap_ctr = Nest_sim.Metrics.counter metrics ("hop." ^ name ^ ".decap");
+        encap_name; decap_name;
+        encap_site = Nest_sim.Engine.site ~cat:"hop" ~name:encap_name ();
+        decap_site = Nest_sim.Engine.site ~cat:"hop" ~name:decap_name () }
   in
   let t = Lazy.force t in
   Dev.set_tx overlay_dev (fun frame -> encap t frame);

@@ -14,7 +14,7 @@ type t = (string, int array) Hashtbl.t
 
 let create () : t = Hashtbl.create 32
 
-let row t entity =
+let row t ~entity =
   match Hashtbl.find_opt t entity with
   | Some r -> r
   | None ->
@@ -23,7 +23,7 @@ let row t entity =
     r
 
 let charge t ~entity cat ns =
-  let r = row t entity in
+  let r = row t ~entity in
   let i = category_index cat in
   r.(i) <- r.(i) + ns
 
@@ -40,7 +40,9 @@ let entity_total t ~entity =
 let entities t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> List.sort_uniq compare
 
-let reset t = Hashtbl.reset t
+(* In place: {!Exec} contexts hold on to their rows across a reset, so
+   dropping the table would leave them counting into orphaned arrays. *)
+let reset t = Hashtbl.iter (fun _ r -> Array.fill r 0 (Array.length r) 0) t
 
 let snapshot t =
   entities t

@@ -20,6 +20,13 @@ type t
 val create : unit -> t
 val charge : t -> entity:string -> category -> Time.ns -> unit
 
+val row : t -> entity:string -> int array
+(** The live counters of [entity], indexed by {!category_index},
+    created (all zero) on first use.  Adding [ns] at index [i] is the
+    same as {!charge}; the row stays valid across {!reset}.  Per-event
+    callers ({!Exec}) resolve it once instead of hashing the entity
+    name on every charge. *)
+
 val get : t -> entity:string -> category -> Time.ns
 (** 0 for unknown entities. *)
 
@@ -28,7 +35,8 @@ val entities : t -> string list
 (** Sorted, deduplicated. *)
 
 val reset : t -> unit
-(** Zeroes all counters (used to discard warmup). *)
+(** Zeroes all counters in place (used to discard warmup).  Entities
+    charged before the reset stay listed, reading 0. *)
 
 val snapshot : t -> (string * (category * Time.ns) list) list
 (** Sorted by entity, each with all five categories. *)

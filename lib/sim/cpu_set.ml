@@ -8,21 +8,20 @@ let cores t = Array.length t.busy
 let name t = t.set_name
 
 let book t ~ready =
-  (* Best fit among already-free cores; earliest-available otherwise. *)
+  (* Best fit among already-free cores; earliest-available otherwise.
+     A plain loop: this runs on every CPU-bound submission. *)
+  let busy = t.busy in
   let best_free = ref (-1) in
   let earliest = ref 0 in
-  Array.iteri
-    (fun i v ->
-      if v <= ready then begin
-        match !best_free with
-        | -1 -> best_free := i
-        | j -> if v > t.busy.(j) then best_free := i
-      end;
-      if v < t.busy.(!earliest) then earliest := i)
-    t.busy;
-  match !best_free with
-  | -1 -> (t.busy.(!earliest), !earliest)
-  | i -> (ready, i)
+  for i = 0 to Array.length busy - 1 do
+    let v = busy.(i) in
+    if v <= ready && (!best_free < 0 || v > busy.(!best_free)) then
+      best_free := i;
+    if v < busy.(!earliest) then earliest := i
+  done;
+  if !best_free >= 0 then !best_free else !earliest
+
+let start_at t core ~ready = max ready t.busy.(core)
 
 let commit t core ~finish = t.busy.(core) <- finish
 

@@ -19,9 +19,12 @@ val create : cores:int -> name:string -> t
 val cores : t -> int
 val name : t -> string
 
-val book : t -> ready:Time.ns -> Time.ns * int
-(** [book t ~ready] returns [(start, core)]: the earliest date >= [ready]
-    at which [core] can run the work.  Must be followed by {!commit}. *)
+val book : t -> ready:Time.ns -> int
+(** [book t ~ready] picks the core for work ready at [ready]; the work
+    starts at {!start_at}.  Must be followed by {!commit}. *)
+
+val start_at : t -> int -> ready:Time.ns -> Time.ns
+(** The earliest date >= [ready] at which the given core can run work. *)
 
 val commit : t -> int -> finish:Time.ns -> unit
 (** Marks the booked core busy until [finish]. *)

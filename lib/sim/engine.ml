@@ -71,6 +71,34 @@ let trace_instant t ~cat ~name ?arg () =
   | None -> ()
   | Some tr -> Trace.instant tr ~ts:t.clock ~cat ~name ?arg ()
 
+(* A fixed (cat, name, arg) instant site with the same epoch-validated
+   id cache as [Labeled] jobs: per-packet hop instants skip both intern
+   lookups, whose one-entry memo misses as device names alternate. *)
+type site = {
+  site_cat : string;
+  site_name : string;
+  site_arg : string;
+  mutable cat_id : int;
+  mutable name_id : int;
+  mutable site_epoch : int;
+}
+
+let site ?(arg = "") ~cat ~name () =
+  { site_cat = cat; site_name = name; site_arg = arg; cat_id = 0;
+    name_id = 0; site_epoch = -1 }
+
+let trace_site t s =
+  match t.tracer with
+  | None -> ()
+  | Some tr ->
+    if s.site_epoch <> t.trace_epoch then begin
+      s.cat_id <- Trace.intern_cat tr s.site_cat;
+      s.name_id <- Trace.intern_name tr s.site_name;
+      s.site_epoch <- t.trace_epoch
+    end;
+    Trace.record_i tr ~shard:0 ~prio:0 ~ts:t.clock Trace.Instant ~cat:s.cat_id
+      ~name:s.name_id ~arg:s.site_arg
+
 let enable_profiling ?clock t =
   (match clock with Some c -> t.prof_clock <- c | None -> ());
   if t.prof = None then t.prof <- Some (Hashtbl.create 32)

@@ -97,6 +97,18 @@ val trace_instant :
 (** Records an instant at [now t] on the installed tracer; no-op (one
     option check) when tracing is disabled. *)
 
+type site
+(** A fixed instant site: one (cat, name, arg) triple recorded many
+    times, e.g. a device's per-packet hop instant. *)
+
+val site : ?arg:string -> cat:string -> name:string -> unit -> site
+(** [arg] defaults to [""].  A site may serve one engine only. *)
+
+val trace_site : t -> site -> unit
+(** Same record as [trace_instant ~cat ~name ~arg], but the cat and name
+    ids are interned once per installed tracer (validated against
+    {!trace_epoch}) instead of on every call. *)
+
 val enable_profiling : ?clock:(unit -> float) -> t -> unit
 (** Starts accumulating per-label event counts and host wall time.
     [clock] defaults to [Sys.time]; tests inject a deterministic one.

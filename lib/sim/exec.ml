@@ -6,6 +6,15 @@ type t = {
   slots : Time.ns array;
   cpus : Cpu_set.t option;
   mutable busy_ns : Time.ns;
+  (* Accounting rows of [account] and [also], resolved on the first
+     submission (not at [create]: a context that never runs must not
+     list its entities) so each charge is an array add, not a hash of
+     the entity name.  [rows_ready] guards the other three fields;
+     [acct_row] stays empty without [account]. *)
+  mutable rows_ready : bool;
+  mutable acct_row : int array;
+  mutable acct_cat : int;
+  mutable also_rows : (int array * int) array;  (* (row, category index) *)
   (* Cached trace-name id for [exec_name], valid while the engine's
      trace epoch matches — every submission is labeled with the exec
      name, so interning it per event would dominate tracing cost. *)
@@ -16,14 +25,32 @@ type t = {
 let create ?account ?(also = []) ?(width = 1) ?cpus engine ~name =
   if width <= 0 then invalid_arg "Exec.create: width must be > 0";
   { exec_name = name; engine; account; also; slots = Array.make width 0;
-    cpus; busy_ns = 0; lbl = -1; lbl_epoch = -1 }
+    cpus; busy_ns = 0; rows_ready = false; acct_row = [||]; acct_cat = 0;
+    also_rows = [||]; lbl = -1; lbl_epoch = -1 }
+
+let resolve_rows t =
+  (match t.account with
+  | None -> ()
+  | Some (acct, entity, cat) ->
+    t.acct_row <- Cpu_account.row acct ~entity;
+    t.acct_cat <- Cpu_account.category_index cat);
+  t.also_rows <-
+    Array.of_list
+      (List.map
+         (fun (acct, entity, cat) ->
+           (Cpu_account.row acct ~entity, Cpu_account.category_index cat))
+         t.also);
+  t.rows_ready <- true
 
 let name t = t.exec_name
 let width t = Array.length t.slots
 
 let min_slot t =
+  let slots = t.slots in
   let best = ref 0 in
-  Array.iteri (fun i v -> if v < t.slots.(!best) then best := i) t.slots;
+  for i = 1 to Array.length slots - 1 do
+    if slots.(i) < slots.(!best) then best := i
+  done;
   !best
 
 (* Core submission path.  Returns the completion time so callers that
@@ -34,27 +61,32 @@ let submit_timed ?charge_as t ~cost k =
   let now = Engine.now t.engine in
   let slot = min_slot t in
   let slot_free = max now t.slots.(slot) in
-  let start, booking =
+  let finish =
     match t.cpus with
-    | None -> (slot_free, None)
+    | None -> slot_free + cost
     | Some set ->
-      let start, core = Cpu_set.book set ~ready:slot_free in
-      (start, Some (set, core))
+      let core = Cpu_set.book set ~ready:slot_free in
+      let finish = Cpu_set.start_at set core ~ready:slot_free + cost in
+      Cpu_set.commit set core ~finish;
+      finish
   in
-  let finish = start + cost in
   t.slots.(slot) <- finish;
-  (match booking with
-  | None -> ()
-  | Some (set, core) -> Cpu_set.commit set core ~finish);
   t.busy_ns <- t.busy_ns + cost;
-  (match t.account with
-  | None -> ()
-  | Some (acct, entity, default_cat) ->
-    let cat = Option.value charge_as ~default:default_cat in
-    Cpu_account.charge acct ~entity cat cost);
-  List.iter
-    (fun (acct, entity, cat) -> Cpu_account.charge acct ~entity cat cost)
-    t.also;
+  if not t.rows_ready then resolve_rows t;
+  let row = t.acct_row in
+  if Array.length row > 0 then begin
+    let i =
+      match charge_as with
+      | None -> t.acct_cat
+      | Some cat -> Cpu_account.category_index cat
+    in
+    row.(i) <- row.(i) + cost
+  end;
+  let also_rows = t.also_rows in
+  for j = 0 to Array.length also_rows - 1 do
+    let row, i = also_rows.(j) in
+    row.(i) <- row.(i) + cost
+  done;
   let ep = Engine.trace_epoch t.engine in
   if t.lbl_epoch <> ep then begin
     t.lbl <- Engine.intern_label t.engine t.exec_name;

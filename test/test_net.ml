@@ -210,6 +210,50 @@ let test_netfilter_order_and_mangle () =
     (List.rev !order);
   Alcotest.(check int) "rule count" 2 (Netfilter.rule_count nf Netfilter.Input)
 
+(* Random append/remove sequences across hooks against a list model:
+   the maintained rule total must equal the per-hook counts, and every
+   chain must still run its rules in append order. *)
+let test_netfilter_rule_total =
+  let hooks =
+    [| Netfilter.Prerouting; Netfilter.Input; Netfilter.Forward;
+       Netfilter.Output; Netfilter.Postrouting |]
+  in
+  QCheck.Test.make ~name:"rule total = sum of chains, order kept" ~count:200
+    QCheck.(
+      list_of_size Gen.(0 -- 40) (triple bool (int_bound 4) (int_bound 3)))
+    (fun ops ->
+      let nf = Netfilter.create () in
+      let model = Array.make 5 [] in
+      let ran = ref [] in
+      List.iteri
+        (fun serial (is_append, h, n) ->
+          let name = Printf.sprintf "r%d" n in
+          if is_append then begin
+            let tag = Printf.sprintf "%s#%d" name serial in
+            Netfilter.append nf hooks.(h)
+              { Netfilter.rule_name = name;
+                matches = (fun _ _ -> true);
+                action =
+                  (fun _ _ ->
+                    ran := tag :: !ran;
+                    Netfilter.Accept) };
+            model.(h) <- model.(h) @ [ (name, tag) ]
+          end
+          else begin
+            Netfilter.remove nf hooks.(h) name;
+            model.(h) <- List.filter (fun (m, _) -> m <> name) model.(h)
+          end)
+        ops;
+      let counts = Array.map (Netfilter.rule_count nf) hooks in
+      Netfilter.total_rules nf = Array.fold_left ( + ) 0 counts
+      && Array.for_all2 (fun c m -> c = List.length m) counts model
+      && Array.for_all2
+           (fun hook m ->
+             ran := [];
+             Netfilter.run nf hook Netfilter.no_ctx (udp_pkt ()) <> None
+             && List.rev !ran = List.map snd m)
+           hooks model)
+
 let test_netfilter_drop_and_remove () =
   let nf = Netfilter.create () in
   Nat.drop_from nf ~name:"deny" ~hook:Netfilter.Forward
@@ -416,6 +460,7 @@ let () =
       ( "netfilter",
         [ Alcotest.test_case "order+mangle" `Quick test_netfilter_order_and_mangle;
           Alcotest.test_case "drop+remove" `Quick test_netfilter_drop_and_remove;
+          qtest test_netfilter_rule_total;
           qtest test_conntrack_snat_reverse;
           Alcotest.test_case "snat stable" `Quick test_conntrack_snat_stable;
           Alcotest.test_case "dnat" `Quick test_conntrack_dnat ] );

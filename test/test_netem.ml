@@ -133,6 +133,53 @@ let test_delivery_under_random_loss =
       in
       received = bytes)
 
+type Payload.app_msg += Seq_msg of int
+
+(* A paced stream of 64 B messages over a 1 ms lossy link: each send is
+   its own 64 B segment, so the initial 10-MSS window alone puts ~228
+   segments in the retransmit queue, and every ACK retires only a
+   prefix of it while losses are repaired from its head. *)
+let test_deep_window_loss () =
+  let e, a, b, da, db = two_ns 21L in
+  let rng = Nest_sim.Prng.create 2021L in
+  let msgs_total = 4000 and msg_size = 64 in
+  let got = ref [] and received = ref 0 in
+  let conn = ref None in
+  Stack.Tcp.listen b ~port:80 ~on_accept:(fun c ->
+      Stack.Tcp.set_on_receive c (fun ~bytes ~msgs ->
+          received := !received + bytes;
+          List.iter
+            (function Seq_msg i -> got := i :: !got | _ -> ())
+            msgs));
+  let c =
+    Stack.Tcp.connect a ~dst:(ip "192.168.1.2") ~port:80
+      ~on_established:(fun c -> conn := Some c)
+      ()
+  in
+  Engine.run e;
+  if !conn = None then failwith "no conn";
+  let _n1 = Netem.shape e da ~loss:0.01 ~delay_ns:(Time.ms 1) ~rng () in
+  let _n2 = Netem.shape e db ~loss:0.01 ~delay_ns:(Time.ms 1) ~rng () in
+  let next = ref 0 in
+  let rec write () =
+    if !next < msgs_total then
+      if Stack.Tcp.send c ~size:msg_size ~msg:(Seq_msg !next) () then begin
+        incr next;
+        Engine.schedule e ~delay:(Time.us 1) write
+      end
+  in
+  Stack.Tcp.set_on_writable c write;
+  write ();
+  Engine.run ~until:(Engine.now e + Time.sec 600) e;
+  Alcotest.(check int) "every message sent" msgs_total !next;
+  Alcotest.(check int) "every byte delivered" (msgs_total * msg_size)
+    !received;
+  Alcotest.(check (list int)) "in order, exactly once"
+    (List.init msgs_total Fun.id) (List.rev !got);
+  Alcotest.(check bool) "losses were repaired" true
+    (Stack.Tcp.retransmits c > 0);
+  Alcotest.(check int) "send queue drained" 0 (Stack.Tcp.sendq_bytes c)
+
 let test_tcp_rr_mode () =
   (* Netperf TCP_RR through the real testbed. *)
   let tb = Nestfusion.Testbed.create ~num_vms:1 () in
@@ -159,5 +206,7 @@ let () =
           Alcotest.test_case "overflow" `Quick test_netem_overflow ] );
       ( "tcp recovery",
         [ Alcotest.test_case "fast retransmit" `Quick test_fast_retransmit_recovers;
+          Alcotest.test_case "deep window under loss" `Quick
+            test_deep_window_loss;
           qtest test_delivery_under_random_loss ] );
       ("netperf", [ Alcotest.test_case "tcp_rr" `Quick test_tcp_rr_mode ]) ]

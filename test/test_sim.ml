@@ -444,6 +444,29 @@ let test_cpu_account_reset_snapshot () =
   Alcotest.(check int) "reset zeroes" 0
     (Cpu_account.get acct ~entity:"a" Cpu_account.Usr)
 
+(* Exec resolves its accounting rows on the first submission and keeps
+   them; a reset must zero those rows rather than drop them, or the
+   context would go on counting into arrays the account no longer
+   holds. *)
+let test_exec_rows_survive_reset () =
+  let e = Engine.create () in
+  let acct = Cpu_account.create () in
+  let x =
+    Exec.create ~account:(acct, "vm1", Cpu_account.Soft)
+      ~also:[ (acct, "host", Cpu_account.Guest) ]
+      e ~name:"cached"
+  in
+  Exec.submit x ~cost:500 (fun () -> ());
+  Engine.run e;
+  Cpu_account.reset acct;
+  Exec.submit x ~cost:300 (fun () -> ());
+  Engine.run e;
+  Alcotest.(check int) "primary counts only after reset" 300
+    (Cpu_account.get acct ~entity:"vm1" Cpu_account.Soft);
+  Alcotest.(check int) "also counts only after reset" 300
+    (Cpu_account.get acct ~entity:"host" Cpu_account.Guest);
+  Alcotest.(check int) "busy keeps both" 800 (Exec.busy_ns x)
+
 let test_time_pp () =
   let s t = Format.asprintf "%a" Time.pp t in
   Alcotest.(check string) "ns" "42ns" (s 42);
@@ -497,4 +520,6 @@ let () =
             test_cpuset_affinity_no_false_contention;
           Alcotest.test_case "account snapshot" `Quick
             test_cpu_account_reset_snapshot;
+          Alcotest.test_case "rows survive reset" `Quick
+            test_exec_rows_survive_reset;
           Alcotest.test_case "time pp" `Quick test_time_pp ] ) ]
