@@ -70,14 +70,6 @@ let kernel_cpu_breakdown () =
 let kernel_boot () =
   ignore (Fig_boot.boot_samples ~mode:`Brfusion ~runs:3 ~seed:11L)
 
-let kernel_table1 () =
-  ignore (List.length Nest_workloads.Netperf.default_sizes)
-
-let kernel_table2 () =
-  List.iter
-    (fun (_, _, _, rc, rm, price) -> ignore (rc +. rm +. price))
-    Nest_costsim.Aws.table2_rows
-
 let kernel_costsim () =
   let users = Nest_traces.Trace_gen.generate ~seed:5L ~users:12 in
   ignore (Nest_costsim.Report.evaluate users)
@@ -227,14 +219,12 @@ let micro_tests =
   let open Bechamel in
   [ Test.make ~name:"fig2:netperf-nat"
       (Staged.stage (kernel_netperf_single ~mode:`Nat));
-    Test.make ~name:"table1:workload-parameters" (Staged.stage kernel_table1);
     Test.make ~name:"fig4:netperf-brfusion"
       (Staged.stage (kernel_netperf_single ~mode:`Brfusion));
     Test.make ~name:"fig5:kafka" (Staged.stage kernel_macro_kafka);
     Test.make ~name:"fig6:cpu-breakdown" (Staged.stage kernel_cpu_breakdown);
     Test.make ~name:"fig7:nginx" (Staged.stage kernel_macro_nginx);
     Test.make ~name:"fig8:boot" (Staged.stage kernel_boot);
-    Test.make ~name:"table2:aws-models" (Staged.stage kernel_table2);
     Test.make ~name:"fig9:costsim" (Staged.stage kernel_costsim);
     Test.make ~name:"fig10:netperf-hostlo"
       (Staged.stage (kernel_netperf_pair ~mode:`Hostlo));
@@ -243,7 +233,6 @@ let micro_tests =
       (Staged.stage (kernel_netperf_pair ~mode:`SameNode));
     Test.make ~name:"fig13:netperf-overlay"
       (Staged.stage (kernel_netperf_pair ~mode:`Overlay));
-    Test.make ~name:"fig14:cpu-hostlo" (Staged.stage kernel_cpu_breakdown);
     Test.make ~name:"fig15:netperf-natx"
       (Staged.stage (kernel_netperf_pair ~mode:`NatX));
     Test.make ~name:"engine:1k-events" (Staged.stage kernel_engine_events);

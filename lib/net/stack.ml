@@ -616,7 +616,7 @@ let rec tcp_arm_rto c =
   if not c.rto_armed then begin
     c.rto_armed <- true;
     c.rto_una_at_arm <- c.snd_una;
-    let delay = rto_initial * (1 lsl min 6 c.rto_backoff) in
+    let delay = rto_initial * (1 lsl Int.min 6 c.rto_backoff) in
     Engine.schedule c.c_ns.eng ~delay (fun () -> tcp_rto_fire c)
   end
 
@@ -648,7 +648,7 @@ and tcp_rto_fire c =
             Printf.sprintf "%s: RTO retransmit #%d (una=%d nxt=%d)"
               c.c_ns.ns_name c.c_retransmits c.snd_una c.snd_nxt);
         c.rto_backoff <- c.rto_backoff + 1;
-        c.ssthresh <- max (2 * c.c_mss) ((c.snd_nxt - c.snd_una) / 2);
+        c.ssthresh <- Int.max (2 * c.c_mss) ((c.snd_nxt - c.snd_una) / 2);
         c.cwnd <- init_cwnd_segments * c.c_mss;
         (match c.c_state with
         | Syn_sent ->
@@ -673,11 +673,13 @@ and tcp_rto_fire c =
 
 let rec tcp_pump c =
   if c.c_state = Established then begin
-    let window = min c.cwnd c.peer_wnd in
+    let window = Int.min c.cwnd c.peer_wnd in
     let inflight_bytes = c.snd_nxt - c.snd_una in
     if c.snd_nxt < c.send_off && inflight_bytes < window then begin
       let len =
-        min (min c.c_mss (c.send_off - c.snd_nxt)) (window - inflight_bytes)
+        Int.min
+          (Int.min c.c_mss (c.send_off - c.snd_nxt))
+          (window - inflight_bytes)
       in
       if len > 0 then begin
         let seg_end = c.snd_nxt + len in
@@ -768,8 +770,8 @@ let tcp_fast_retransmit c =
   if not (Queue.is_empty c.inflight) then begin
     let seq, len, msgs = Queue.peek c.inflight in
     c.c_retransmits <- c.c_retransmits + 1;
-    c.ssthresh <- max (2 * c.c_mss) ((c.snd_nxt - c.snd_una) / 2);
-    c.cwnd <- max (2 * c.c_mss) c.ssthresh;
+    c.ssthresh <- Int.max (2 * c.c_mss) ((c.snd_nxt - c.snd_una) / 2);
+    c.cwnd <- Int.max (2 * c.c_mss) c.ssthresh;
     tcp_xmit c (tcp_make_segment c ~flags:flags_ack ~seq ~len ~msgs)
   end
 
@@ -797,8 +799,8 @@ let tcp_rx_ack c (seg : Tcp_wire.t) =
       done;
       (* Slow start below ssthresh, linear growth above, capped at the
          advertised receive window. *)
-      if c.cwnd < c.ssthresh then c.cwnd <- c.cwnd + min acked c.c_mss
-      else c.cwnd <- c.cwnd + max 1 (c.c_mss * c.c_mss / c.cwnd);
+      if c.cwnd < c.ssthresh then c.cwnd <- c.cwnd + Int.min acked c.c_mss
+      else c.cwnd <- c.cwnd + Int.max 1 (c.c_mss * c.c_mss / c.cwnd);
       if c.cwnd > rcvwnd_default then c.cwnd <- rcvwnd_default;
       if c.writable_waiting && c.send_off - c.snd_una <= c.c_sndbuf / 2
       then begin

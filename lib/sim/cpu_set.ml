@@ -8,24 +8,33 @@ let cores t = Array.length t.busy
 let name t = t.set_name
 
 let book t ~ready =
-  (* Best fit among already-free cores; earliest-available otherwise.
-     A plain loop: this runs on every CPU-bound submission. *)
+  (* Best fit among already-free cores (the latest-freed, first index on
+     ties); earliest-available otherwise (first index on ties).  One pass
+     with the running best values in locals: this runs on every CPU-bound
+     submission. *)
   let busy = t.busy in
-  let best_free = ref (-1) in
-  let earliest = ref 0 in
+  let best_free = ref (-1) and best_free_v = ref min_int in
+  let earliest = ref 0 and earliest_v = ref busy.(0) in
   for i = 0 to Array.length busy - 1 do
     let v = busy.(i) in
-    if v <= ready && (!best_free < 0 || v > busy.(!best_free)) then
-      best_free := i;
-    if v < busy.(!earliest) then earliest := i
+    if v <= ready then begin
+      if v > !best_free_v then begin
+        best_free := i;
+        best_free_v := v
+      end
+    end
+    else if v < !earliest_v then begin
+      earliest := i;
+      earliest_v := v
+    end
   done;
   if !best_free >= 0 then !best_free else !earliest
 
-let start_at t core ~ready = max ready t.busy.(core)
+let start_at t core ~ready = Int.max ready t.busy.(core)
 
 let commit t core ~finish = t.busy.(core) <- finish
 
-let busy_until_min t = Array.fold_left min t.busy.(0) t.busy
+let busy_until_min t = Array.fold_left Int.min t.busy.(0) t.busy
 
 let busy_cores t ~now =
   Array.fold_left (fun acc v -> if v > now then acc + 1 else acc) 0 t.busy

@@ -111,7 +111,7 @@ let profile t =
     |> List.sort (fun (_, _, a) (_, _, b) -> Float.compare b a)
 
 let schedule_at t ?label ~at fn =
-  let at = max at t.clock in
+  let at = Int.max at t.clock in
   match label with
   | None | Some "" -> Wheel.push t.queue ~prio:at (Plain fn)
   | Some label ->
@@ -122,12 +122,12 @@ let schedule_at t ?label ~at fn =
    id was interned once by the caller and rides along, so tracing this
    event costs two ring writes and no hashing. *)
 let schedule_at_interned t ~label ~lbl ~at fn =
-  let at = max at t.clock in
+  let at = Int.max at t.clock in
   Wheel.push t.queue ~prio:at
     (Labeled { label; lbl; lbl_epoch = t.trace_epoch; fn })
 
 let schedule t ?label ~delay fn =
-  schedule_at t ?label ~at:(t.clock + max 0 delay) fn
+  schedule_at t ?label ~at:(t.clock + Int.max 0 delay) fn
 
 (* The unlabeled, untraced, unprofiled path must stay as close to a bare
    [fn ()] as possible: the ≤2%-overhead budget for disabled observability
@@ -190,7 +190,7 @@ let advance_to t horizon = if horizon > t.clock then t.clock <- horizon
    the thunk never sat in this engine's queue.  The conservative shard
    loop guarantees [at >= clock] before calling. *)
 let run_external t ~at ?(label = "") fn =
-  let at = max at t.clock in
+  let at = Int.max at t.clock in
   t.clock <- at;
   t.executed <- t.executed + 1;
   let job =
@@ -211,7 +211,7 @@ let run ?until t =
       | Some at when at <= horizon -> ignore (step t)
       | Some _ | None ->
         continue := false;
-        t.clock <- max t.clock horizon
+        t.clock <- Int.max t.clock horizon
     done
 
 let pending t = Wheel.size t.queue

@@ -57,10 +57,10 @@ let min_slot t =
    need timing (latency provenance) can recover [start = finish - cost]
    without any allocation on the common path. *)
 let submit_timed ?charge_as t ~cost k =
-  let cost = max 0 cost in
+  let cost = Int.max 0 cost in
   let now = Engine.now t.engine in
   let slot = min_slot t in
-  let slot_free = max now t.slots.(slot) in
+  let slot_free = Int.max now t.slots.(slot) in
   let finish =
     match t.cpus with
     | None -> slot_free + cost
@@ -106,7 +106,7 @@ let busy_ns t = t.busy_ns
 
 let backlog t =
   let now = Engine.now t.engine in
-  Array.fold_left (fun acc v -> max acc (v - now)) 0 t.slots
+  Array.fold_left (fun acc v -> Int.max acc (v - now)) 0 t.slots
 
 let reset_busy t = t.busy_ns <- 0
 

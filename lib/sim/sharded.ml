@@ -45,7 +45,13 @@ type link = {
 type shard = {
   sh_ix : int;
   sh_engine : Engine.t;
-  mutable sh_inbound : link list;  (* ascending l_key *)
+  mutable sh_inbound : link array; (* ascending l_key *)
+  (* Result of the last [delivery_head] scan: the earliest pending date
+     ([max_int] when every mailbox was empty) and its link's index in
+     [sh_inbound].  Fields rather than a returned pair so the scan
+     allocates nothing. *)
+  mutable sh_head_at : int;
+  mutable sh_head_ix : int;
   sh_publish : int Atomic.t;
   mutable sh_done : bool;          (* reached the current run's horizon *)
   mutable sh_was_blocked : bool;   (* edge detector: count blocked episodes *)
@@ -75,7 +81,9 @@ let create ?(seed = 0x5EEDL) ~shards () =
     {
       sh_ix = i;
       sh_engine = Engine.create ~seed:s ();
-      sh_inbound = [];
+      sh_inbound = [||];
+      sh_head_at = max_int;
+      sh_head_ix = -1;
       sh_publish = Atomic.make 0;
       sh_done = false;
       sh_was_blocked = false;
@@ -117,10 +125,10 @@ let link t ~src ~dst ~lookahead ?(label = "") () =
   in
   t.sd_links <- t.sd_links + 1;
   let d = t.sd_shards.(dst) in
-  (* Keep inbound ascending by creation key so a plain scan breaks
-     equal-date delivery ties toward the oldest link. *)
-  d.sh_inbound <-
-    List.sort (fun a b -> compare a.l_key b.l_key) (l :: d.sh_inbound);
+  (* Keys only grow, so appending keeps inbound ascending by creation
+     key and a plain scan breaks equal-date delivery ties toward the
+     oldest link. *)
+  d.sh_inbound <- Array.append d.sh_inbound [| l |];
   l
 
 (* Why a concurrent send can never undercut a receiver's [safe]: the
@@ -130,7 +138,17 @@ let link t ~src ~dst ~lookahead ?(label = "") () =
    date is >= P + delay >= P + lookahead = safe — and the receiver only
    executes strictly below [safe].  Pushes made before publish reached P
    are made visible by the SC atomics + mailbox mutex: the receiver
-   reads publishes first, head hints second. *)
+   reads publishes first, head hints second.
+
+   The same bound lets [pump] keep the delivery head it scanned on entry
+   (or after its last pop) across local events.  A local event on the
+   receiver can only push into its own mailboxes through a self-link,
+   at >= now + lookahead >= publish(self) + lookahead >= safe; a push
+   from another domain lands at >= safe as argued above; and only the
+   receiver pops its mailboxes.  So the cached head equals the true one
+   whenever either is below [safe], and a stale pick can only be late
+   for a message this pump would not execute anyway.  [drain] has no
+   [safe] and rescans every step. *)
 let send t l ~delay fn =
   if delay < l.l_lookahead then
     invalid_arg "Sharded.send: delay below the link's declared lookahead";
@@ -153,26 +171,31 @@ let pop_delivery l =
   match r with Some (_, fn) -> fn | None -> assert false
 
 let inbound_safe s =
-  List.fold_left
-    (fun acc l ->
-      let v = Atomic.get l.l_src_pub + l.l_lookahead in
-      if v < acc then v else acc)
-    max_int s.sh_inbound
+  let inbound = s.sh_inbound in
+  let safe = ref max_int in
+  for i = 0 to Array.length inbound - 1 do
+    let l = inbound.(i) in
+    let v = Atomic.get l.l_src_pub + l.l_lookahead in
+    if v < !safe then safe := v
+  done;
+  !safe
 
-(* Earliest pending delivery: date + link, equal dates resolving to the
-   lowest creation key (the inbound list is key-ascending and the scan
-   uses strict [<]).  [max_int, None] when every mailbox is empty. *)
+(* Earliest pending delivery into [sh_head_at]/[sh_head_ix], equal dates
+   resolving to the lowest creation key (the inbound array is
+   key-ascending and the scan uses strict [<]).  [max_int, -1] when
+   every mailbox is empty. *)
 let delivery_head s =
-  let best = ref max_int and best_l = ref None in
-  List.iter
-    (fun l ->
-      let h = Atomic.get l.l_head in
-      if h < !best then begin
-        best := h;
-        best_l := Some l
-      end)
-    s.sh_inbound;
-  (!best, !best_l)
+  let inbound = s.sh_inbound in
+  let best = ref max_int and best_ix = ref (-1) in
+  for i = 0 to Array.length inbound - 1 do
+    let h = Atomic.get inbound.(i).l_head in
+    if h < !best then begin
+      best := h;
+      best_ix := i
+    end
+  done;
+  s.sh_head_at <- !best;
+  s.sh_head_ix <- !best_ix
 
 (* Only the owning domain writes a shard's publish cell, so the
    read-then-set below is single-writer and needs no CAS. *)
@@ -188,19 +211,23 @@ let wheel_next e = match Engine.next_at e with Some a -> a | None -> max_int
 let pump s ~horizon =
   let progress = ref false in
   let safe = inbound_safe s in
+  (* Scanned once here and again only after a pop: see [send] for why a
+     head cached across local events is never wrong below [safe]. *)
+  delivery_head s;
   let running = ref true in
   while !running do
     running := false;
-    let da, dl = delivery_head s in
+    let da = s.sh_head_at in
     let wa = wheel_next s.sh_engine in
     (* Deliveries beat local events on equal dates. *)
     if da <= wa then begin
       if da < safe && da <= horizon then begin
-        let l = match dl with Some l -> l | None -> assert false in
+        let l = s.sh_inbound.(s.sh_head_ix) in
         let fn = pop_delivery l in
         Engine.run_external s.sh_engine ~at:da ~label:l.l_label fn;
         s.sh_delivered <- s.sh_delivered + 1;
         publish_floor s (Engine.now s.sh_engine);
+        delivery_head s;
         progress := true;
         running := true
       end
@@ -213,9 +240,8 @@ let pump s ~horizon =
     end
   done;
   (* Nothing executable under [safe]. *)
-  let da, _ = delivery_head s in
-  let cand = min da (wheel_next s.sh_engine) in
-  let bound = min cand safe in
+  let cand = Int.min s.sh_head_at (wheel_next s.sh_engine) in
+  let bound = Int.min cand safe in
   if bound > horizon then begin
     (* Both the local candidate and every possible future inbound
        delivery lie beyond the horizon: this shard is finished, and
@@ -319,8 +345,8 @@ let drain t =
     let best = ref max_int and best_s = ref None in
     Array.iter
       (fun s ->
-        let da, _ = delivery_head s in
-        let c = min da (wheel_next s.sh_engine) in
+        delivery_head s;
+        let c = Int.min s.sh_head_at (wheel_next s.sh_engine) in
         if c < !best then begin
           best := c;
           best_s := Some s
@@ -329,9 +355,10 @@ let drain t =
     match !best_s with
     | None -> continue_ := false
     | Some s ->
-      let da, dl = delivery_head s in
+      (* The scan above left [s]'s head fresh: nothing ran since. *)
+      let da = s.sh_head_at in
       if da <= wheel_next s.sh_engine then begin
-        let l = match dl with Some l -> l | None -> assert false in
+        let l = s.sh_inbound.(s.sh_head_ix) in
         let fn = pop_delivery l in
         Engine.run_external s.sh_engine ~at:da ~label:l.l_label fn;
         s.sh_delivered <- s.sh_delivered + 1
@@ -365,7 +392,7 @@ let stats t =
   Array.map
     (fun s ->
       let boxed =
-        List.fold_left
+        Array.fold_left
           (fun acc l ->
             Mutex.lock l.l_mu;
             let n = Heap.size l.l_box in

@@ -57,14 +57,19 @@ let create () =
     next_seq = 0;
     cached_min = -1 }
 
-(* Smallest set bit of [m] (which must be non-zero). *)
+(* Smallest set bit of [m] (non-zero, below 2^32) in constant time:
+   [m land (-m)] isolates the lowest set bit, and multiplying it by the
+   de Bruijn constant 0x077CB531 puts a distinct 5-bit pattern in the
+   top bits of the 32-bit product, which the table maps back to the bit
+   index.  The product is below 2^31 * 2^27 = 2^58, so it cannot
+   overflow a 63-bit int. *)
+let ctz_table =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
 let ctz m =
-  let r = ref 0 and m = ref m in
-  while !m land 1 = 0 do
-    incr r;
-    m := !m lsr 1
-  done;
-  !r
+  Array.unsafe_get ctz_table
+    ((((m land (-m)) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
 
 (* Highest level at which [x = prio lxor base] has a non-zero digit;
    [levels] means the entry falls outside base's top-level frame. *)

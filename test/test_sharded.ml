@@ -67,6 +67,67 @@ let test_tie_order () =
     "deliveries (in link order) before the same-date local event"
     [ "a"; "b"; "local" ] (List.rev !log)
 
+(* Many inbound links into shard 0: eight from shard 1 plus a self-link
+   created fifth.  Equal-date messages are sent in reverse creation
+   order; two deliveries send again (one bouncing through shard 1, one
+   on the self-link) and one schedules a same-date local event.  The
+   pump scans the delivery head once and again only after each pop, so
+   this pins that the cached head never reorders a tie. *)
+let many_links ~domains =
+  let sd = Sharded.create ~shards:2 () in
+  let e0 = Sharded.engine sd 0 and e1 = Sharded.engine sd 1 in
+  let la = Time.us 10 in
+  let inbound =
+    Array.init 9 (fun i ->
+        let src = if i = 4 then 0 else 1 in
+        Sharded.link sd ~src ~dst:0 ~lookahead:la ())
+  in
+  let back = Sharded.link sd ~src:0 ~dst:1 ~lookahead:la () in
+  let logs = Array.make 2 [] in
+  let note i tag () =
+    logs.(i) <- (tag, Engine.now (Sharded.engine sd i)) :: logs.(i)
+  in
+  let deliver i () =
+    note 0 (Printf.sprintf "d%d" i) ();
+    if i = 2 then
+      Sharded.send sd back ~delay:la (fun () ->
+          note 1 "echo" ();
+          Sharded.send sd inbound.(7) ~delay:la (note 0 "echo7");
+          Sharded.send sd inbound.(1) ~delay:la (note 0 "echo1"));
+    if i = 4 then begin
+      Engine.schedule_at e0 ~at:(Engine.now e0) (note 0 "local-from-d4");
+      Sharded.send sd inbound.(4) ~delay:(2 * la) (note 0 "self2")
+    end
+  in
+  Engine.schedule_at e1 ~at:(Time.us 10) (fun () ->
+      note 1 "emit" ();
+      for i = 8 downto 0 do
+        if i <> 4 then Sharded.send sd inbound.(i) ~delay:(2 * la) (deliver i)
+      done);
+  Engine.schedule_at e0 ~at:(Time.us 10) (fun () ->
+      Sharded.send sd inbound.(4) ~delay:(2 * la) (deliver 4));
+  Engine.schedule_at e0 ~at:(Time.us 30) (note 0 "local");
+  Engine.schedule_at e0 ~at:(Time.us 50) (note 0 "local50");
+  Sharded.run ~until:(Time.us 200) ~domains sd;
+  (List.rev logs.(0), List.rev logs.(1))
+
+let test_many_links_order () =
+  let l0, l1 = many_links ~domains:1 in
+  let at30 = List.map (fun tag -> (tag, Time.us 30)) in
+  let at50 = List.map (fun tag -> (tag, Time.us 50)) in
+  Alcotest.(check (list (pair string int)))
+    "shard 0: deliveries in link-creation order, then same-date locals"
+    (at30
+       [ "d0"; "d1"; "d2"; "d3"; "d4"; "d5"; "d6"; "d7"; "d8"; "local";
+         "local-from-d4" ]
+    @ at50 [ "echo1"; "self2"; "echo7"; "local50" ])
+    l0;
+  Alcotest.(check (list (pair string int)))
+    "shard 1" [ ("emit", Time.us 10); ("echo", Time.us 40) ] l1;
+  let l0', l1' = many_links ~domains:2 in
+  Alcotest.(check (list (pair string int))) "shard 0, domains 1 = 2" l0 l0';
+  Alcotest.(check (list (pair string int))) "shard 1, domains 1 = 2" l1 l1'
+
 let test_zero_lookahead_rejected () =
   let sd = Sharded.create ~shards:2 () in
   Alcotest.check_raises "lookahead 0 refused at link creation"
@@ -122,6 +183,8 @@ let () =
             test_ping_pong_domains_identical;
           Alcotest.test_case "per-shard stats" `Quick test_stats_counters;
           Alcotest.test_case "same-date tie order" `Quick test_tie_order;
+          Alcotest.test_case "many-link tie order" `Quick
+            test_many_links_order;
         ] );
       ( "guards",
         [

@@ -150,6 +150,73 @@ let test_wheel_interleaved_monotone =
         ops
       && drain_both w h)
 
+(* The qchecks above stay within 100_000 ticks of the floor, so they
+   only reach levels 0-3.  These
+   two reach every level and every slot index: a delta of [1 lsl k] or
+   [(1 lsl k) - 1] puts a 1..16 or a 31 into each base-32 digit, random
+   30-bit deltas fill the rest, and [1 lsl 30] spills into the overflow
+   heap.  [None] is a pop; pushes never go below the last popped
+   priority, as in the engine.  Every pop is preceded by a peek check:
+   a wrong lowest-slot index shows there as a wrong minimum, where the
+   pop itself could cascade an empty slot forever. *)
+let wheel_agrees_with_heap ops =
+  let w = Wheel.create () and h = Heap.create () in
+  let floor = ref 0 and next = ref 0 in
+  let pop_agrees () =
+    Wheel.peek_prio w = Heap.peek_prio h
+    &&
+    match (Wheel.pop w, Heap.pop h) with
+    | None, None -> true
+    | Some (pw, vw), Some (ph, vh) ->
+      floor := pw;
+      pw = ph && vw = vh
+    | None, Some _ | Some _, None -> false
+  in
+  let rec drain () = Heap.is_empty h || (pop_agrees () && drain ()) in
+  List.for_all
+    (function
+      | None -> pop_agrees ()
+      | Some delta ->
+        incr next;
+        Wheel.push w ~prio:(!floor + delta) !next;
+        Heap.push h ~prio:(!floor + delta) !next;
+        true)
+    ops
+  && drain () && Wheel.is_empty w
+
+let test_wheel_all_levels =
+  let delta =
+    QCheck.Gen.(
+      oneof
+        [ map (fun k -> 1 lsl k) (int_range 0 30);
+          map (fun k -> (1 lsl k) - 1) (int_range 1 30);
+          int_bound ((1 lsl 30) - 1) ])
+  in
+  let op =
+    QCheck.Gen.(frequency [ (1, return None); (2, map Option.some delta) ])
+  in
+  QCheck.Test.make ~name:"wheel = heap on every level and slot" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list (option int))
+       QCheck.Gen.(list_size (int_range 1 400) op))
+    wheel_agrees_with_heap
+
+let test_wheel_every_slot () =
+  (* Deterministic floor under the qcheck: for all 6 x 32 (level k,
+     slot s) pairs, push base-32 digit s at level k alone and over
+     all-ones lower digits, then pop once. *)
+  let ops =
+    List.concat_map
+      (fun k ->
+        List.concat_map
+          (fun s ->
+            let d = s lsl (5 * k) in
+            [ Some d; Some (d lor ((1 lsl (5 * k)) - 1)); None ])
+          (List.init 32 Fun.id))
+      (List.init 6 Fun.id)
+  in
+  Alcotest.(check bool) "matches the heap" true (wheel_agrees_with_heap ops)
+
 (* ------------------------------------------------------------------ *)
 (* Engine *)
 
@@ -415,6 +482,29 @@ let test_cpuset_caps_parallelism () =
     [ 100; 100; 200 ]
     (List.sort compare !done_at)
 
+(* [book]'s choice, driven directly: commit each core's busy-until date
+   in index order, then book work ready at [ready]. *)
+let test_cpuset_book_contract () =
+  let pick busy ~ready =
+    let set = Cpu_set.create ~cores:(List.length busy) ~name:"c" in
+    List.iteri (fun core finish -> Cpu_set.commit set core ~finish) busy;
+    Cpu_set.book set ~ready
+  in
+  Alcotest.(check int) "best fit: the free core freed last" 1
+    (pick [ 10; 30; 20; 50 ] ~ready:40);
+  Alcotest.(check int) "best fit ignores the busy core 0" 2
+    (pick [ 90; 10; 35; 20 ] ~ready:40);
+  Alcotest.(check int) "free at exactly [ready] counts as free" 3
+    (pick [ 10; 50; 20; 40 ] ~ready:40);
+  Alcotest.(check int) "best-fit tie: lowest index" 1
+    (pick [ 10; 30; 30; 50 ] ~ready:40);
+  Alcotest.(check int) "none free: the earliest core" 2
+    (pick [ 70; 60; 45; 90 ] ~ready:40);
+  Alcotest.(check int) "none free, tie: lowest index" 1
+    (pick [ 70; 45; 60; 45 ] ~ready:40);
+  Alcotest.(check int) "none free, core 0 earliest" 0
+    (pick [ 45; 60; 45; 90 ] ~ready:40)
+
 let test_cpuset_affinity_no_false_contention () =
   let e = Engine.create () in
   let set = Cpu_set.create ~cores:2 ~name:"m" in
@@ -486,7 +576,10 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_wheel_fifo_ties;
           Alcotest.test_case "overflow frames" `Quick test_wheel_overflow_frames;
           Alcotest.test_case "past clamp" `Quick test_wheel_past_clamp;
-          qtest test_wheel_interleaved_monotone ] );
+          qtest test_wheel_interleaved_monotone;
+          qtest test_wheel_all_levels;
+          Alcotest.test_case "every level and slot" `Quick
+            test_wheel_every_slot ] );
       ( "engine",
         [ Alcotest.test_case "ordering" `Quick test_engine_ordering;
           Alcotest.test_case "horizon" `Quick test_engine_horizon;
@@ -518,6 +611,8 @@ let () =
           Alcotest.test_case "cpuset caps" `Quick test_cpuset_caps_parallelism;
           Alcotest.test_case "cpuset affinity" `Quick
             test_cpuset_affinity_no_false_contention;
+          Alcotest.test_case "cpuset book contract" `Quick
+            test_cpuset_book_contract;
           Alcotest.test_case "account snapshot" `Quick
             test_cpu_account_reset_snapshot;
           Alcotest.test_case "rows survive reset" `Quick
