@@ -147,16 +147,28 @@ let trace_stats path =
 
 open Cmdliner
 
-(* Integer options that must be at least 1.  Rejected while parsing, so
-   the error names the flag as the user spelled it. *)
-let positive_int =
+(* Numeric options with a valid range.  Out-of-range values are
+   rejected while parsing (exit 124), so the error names the flag as the
+   user spelled it. *)
+let ranged conv ~ok ~what show =
   let parse s =
-    match Arg.conv_parser Arg.int s with
-    | Ok n when n <= 0 ->
-      Error (`Msg (Printf.sprintf "must be positive (got %d)" n))
+    match Arg.conv_parser conv s with
+    | Ok v when not (ok v) ->
+      Error (`Msg (Printf.sprintf "must be %s (got %s)" what (show v)))
     | r -> r
   in
-  Arg.conv (parse, Arg.conv_printer Arg.int)
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = ranged Arg.int ~ok:(fun n -> n > 0) ~what:"positive" string_of_int
+let non_negative_int = ranged Arg.int ~ok:(fun n -> n >= 0) ~what:">= 0" string_of_int
+
+let positive_float =
+  ranged Arg.float ~ok:(fun x -> x > 0.0) ~what:"positive" (Printf.sprintf "%g")
+
+let probability =
+  ranged Arg.float
+    ~ok:(fun x -> x >= 0.0 && x <= 1.0)
+    ~what:"in [0,1]" (Printf.sprintf "%g")
 
 let quick =
   Arg.(value & flag & info [ "quick" ] ~doc:"Shorter measurement windows.")
@@ -268,19 +280,6 @@ let obs_term =
 
 let chaos_cmd rates seed jobs shards quick check workload standby =
   Nestfusion.Testbed.set_default_shards shards;
-  if standby < 0 then begin
-    Printf.eprintf "nestsim: --standby must be >= 0 (got %d)\n" standby;
-    exit 1
-  end;
-  let workload =
-    match Nest_fault.Chaos.workload_of_string workload with
-    | Some w -> w
-    | None ->
-      Printf.eprintf
-        "nestsim: unknown --workload %S (expected probe, rr or memcached)\n"
-        workload;
-      exit 1
-  in
   if check then begin
     if
       not
@@ -320,7 +319,7 @@ let chaos_term =
                    exit non-zero unless every cell digest is identical.")
   in
   let workload =
-    Arg.(value & opt string "probe"
+    Arg.(value & opt (enum Nest_fault.Chaos.workloads) Nest_fault.Chaos.Probe
          & info [ "workload" ] ~docv:"W"
              ~doc:"What the served cell carries: $(b,probe) (UDP echo \
                    probe, the default), $(b,rr) (netperf UDP_RR) or \
@@ -329,7 +328,7 @@ let chaos_term =
                    and post-recovery latency percentiles.")
   in
   let standby =
-    Arg.(value & opt int 0
+    Arg.(value & opt non_negative_int 0
          & info [ "standby" ] ~docv:"N"
              ~doc:"Pre-provision N pooled Hostlo endpoints per (VM, \
                    pod) and fail the service over to a surviving VM on \
@@ -348,22 +347,16 @@ let chaos_term =
       const chaos_cmd $ rates $ seed $ jobs $ shards $ quick $ check
       $ workload $ standby)
 
-(* Resolve a --profile name ("none" or absent means unimpaired links). *)
-let resolve_profile = function
-  | None -> None
-  | Some "none" -> None
-  | Some name -> (
-    match Nest_net.Netem.profile name with
-    | Some p -> Some p
-    | None ->
-      Printf.eprintf "nestsim: unknown --profile %S (expected %s or none)\n"
-        name
-        (String.concat ", " (Nest_net.Netem.profile_names ()));
-      exit 1)
-
+(* A --profile name; "none" (like omitting the flag) means unimpaired
+   links. *)
 let profile_arg =
-  let open Cmdliner in
-  Arg.(value & opt (some string) None
+  let names =
+    ("none", None)
+    :: List.map
+         (fun n -> (n, Nest_net.Netem.profile n))
+         (Nest_net.Netem.profile_names ())
+  in
+  Arg.(value & opt (enum names) None
        & info [ "profile" ] ~docv:"P"
            ~doc:"Named link profile for the inter-node wires: \
                  $(b,datacenter), $(b,wan), $(b,edge) or $(b,lossy) (see \
@@ -374,7 +367,6 @@ let profile_arg =
                  links.")
 
 let cluster_cmd nodes shards domains seed quick check profile =
-  let profile = resolve_profile profile in
   if check then begin
     if not (Nest_experiments.Fig_cluster.check ~nodes ~seed ?profile ~quick ())
     then exit 1
@@ -423,47 +415,6 @@ let cluster_term =
 
 let fleet_cmd nodes pods rate arrival shards domains seed quick check profile
     fault_rate standby admission autoscale service_us pods_max frontier =
-  if pods < 0 then begin
-    Printf.eprintf "nestsim: --pods must be >= 0 (got %d)\n" pods;
-    exit 1
-  end;
-  if rate <= 0.0 then begin
-    Printf.eprintf "nestsim: --rate must be positive (got %g)\n" rate;
-    exit 1
-  end;
-  if fault_rate < 0.0 || fault_rate > 1.0 then begin
-    Printf.eprintf "nestsim: --fault-rate must be in [0,1] (got %g)\n"
-      fault_rate;
-    exit 1
-  end;
-  if standby < 0 then begin
-    Printf.eprintf "nestsim: --standby must be >= 0 (got %d)\n" standby;
-    exit 1
-  end;
-  let arrival =
-    match arrival with
-    | "poisson" -> `Poisson
-    | "constant" -> `Constant
-    | a ->
-      Printf.eprintf
-        "nestsim: unknown --arrival %S (expected poisson or constant)\n" a;
-      exit 1
-  in
-  if service_us <= 0.0 then begin
-    Printf.eprintf "nestsim: --service-us must be positive (got %g)\n"
-      service_us;
-    exit 1
-  end;
-  let admission =
-    match Nest_experiments.Fig_fleet.admission_of_string admission with
-    | Some a -> a
-    | None ->
-      Printf.eprintf
-        "nestsim: unknown --admission %S (expected fixed, burn or codel)\n"
-        admission;
-      exit 1
-  in
-  let profile = resolve_profile profile in
   let params =
     { Nest_experiments.Fig_fleet.nodes; pods; rate; arrival; profile;
       fault_rate; standby; admission; autoscale; service_us; pods_max; seed }
@@ -484,7 +435,7 @@ let fleet_term =
                    round-robin).")
   in
   let pods =
-    Arg.(value & opt int 200
+    Arg.(value & opt non_negative_int 200
          & info [ "pods" ] ~docv:"P"
              ~doc:"Cluster-trace pods replayed live through the scheduler \
                    over the measurement window (arrivals, exponential \
@@ -492,7 +443,7 @@ let fleet_term =
                    counted).")
   in
   let rate =
-    Arg.(value & opt float 2000.0
+    Arg.(value & opt positive_float 2000.0
          & info [ "rate" ] ~docv:"R"
              ~doc:"Fleet-wide open-loop arrival rate in requests/s, split \
                    evenly across nodes.  Arrivals never wait for \
@@ -500,7 +451,8 @@ let fleet_term =
                    scheduled start, so coordinated omission is impossible.")
   in
   let arrival =
-    Arg.(value & opt string "poisson"
+    Arg.(value
+         & opt (enum [ ("poisson", `Poisson); ("constant", `Constant) ]) `Poisson
          & info [ "arrival" ] ~docv:"A"
              ~doc:"Arrival process: $(b,poisson) (default) or \
                    $(b,constant).")
@@ -526,14 +478,14 @@ let fleet_term =
                    unless all digests are byte-identical.")
   in
   let fault_rate =
-    Arg.(value & opt float 0.0
+    Arg.(value & opt probability 0.0
          & info [ "fault-rate" ] ~docv:"F"
              ~doc:"Per-link-direction probability of one flap (admin-down \
                    then up) during the window — the fleet-scale chaos \
                    plan.  0 disables (default).")
   in
   let standby =
-    Arg.(value & opt int 0
+    Arg.(value & opt non_negative_int 0
          & info [ "standby" ] ~docv:"S"
              ~doc:"Hostlo standby endpoint pool depth per (VM, pod) on the \
                    fleet's Hostlo nodes (see $(b,chaos --standby)); also \
@@ -541,7 +493,7 @@ let fleet_term =
                    serving pod pool.")
   in
   let admission =
-    Arg.(value & opt string "fixed"
+    Arg.(value & opt (enum Nest_experiments.Fig_fleet.admissions) `Fixed
          & info [ "admission" ] ~docv:"POLICY"
              ~doc:"Client-side shed policy: $(b,fixed) (outstanding bound, \
                    default), $(b,burn) (AIMD concurrency limit driven by \
@@ -557,7 +509,7 @@ let fleet_term =
                    bounded by the node's static replica headroom.")
   in
   let service_us =
-    Arg.(value & opt float 0.25
+    Arg.(value & opt positive_float 0.25
          & info [ "service-us" ] ~docv:"US"
              ~doc:"Per-request service cost on a serving pod, in \
                    microseconds.  Raise it to move the fleet's bottleneck \

@@ -43,11 +43,7 @@ let admission_to_string = function
   | `Burn -> "burn"
   | `Codel -> "codel"
 
-let admission_of_string = function
-  | "fixed" -> Some `Fixed
-  | "burn" -> Some `Burn
-  | "codel" -> Some `Codel
-  | _ -> None
+let admissions = [ ("fixed", `Fixed); ("burn", `Burn); ("codel", `Codel) ]
 
 type params = {
   nodes : int;

@@ -28,7 +28,8 @@ type admission_policy = [ `Fixed | `Burn | `Codel ]
     [`Codel] deadline-aware dropping. *)
 
 val admission_to_string : admission_policy -> string
-val admission_of_string : string -> admission_policy option
+val admissions : (string * admission_policy) list
+(** Every policy by name, for CLI parsing. *)
 
 type params = {
   nodes : int;        (** Fleet size (default 8). *)

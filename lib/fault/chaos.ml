@@ -52,11 +52,7 @@ let workload_to_string = function
   | Rr -> "rr"
   | Mc -> "memcached"
 
-let workload_of_string = function
-  | "probe" -> Some Probe
-  | "rr" -> Some Rr
-  | "memcached" | "mc" -> Some Mc
-  | _ -> None
+let workloads = [ ("probe", Probe); ("rr", Rr); ("memcached", Mc); ("mc", Mc) ]
 
 type outcome = {
   o_mode : string;

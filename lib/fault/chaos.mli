@@ -35,7 +35,8 @@ val all_modes : mode list
 type workload = Probe | Rr | Mc
 
 val workload_to_string : workload -> string
-val workload_of_string : string -> workload option
+val workloads : (string * workload) list
+(** Every accepted name ([mc] abbreviates [memcached]), for CLI parsing. *)
 
 type outcome = {
   o_mode : string;

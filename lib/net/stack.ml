@@ -3,8 +3,6 @@ module Time = Nest_sim.Time
 module Trace = Nest_sim.Trace
 module Metrics = Nest_sim.Metrics
 
-let log_src = Nest_sim.Log.src "stack"
-
 type costs = {
   tx : Hop.t;
   rx : Hop.t;
@@ -634,9 +632,6 @@ and tcp_rto_fire c =
              partitioned path).  Without this cap a connection into a
              dead endpoint retransmits forever and a run-to-quiescence
              drain never terminates. *)
-          Nest_sim.Log.debug ~engine:c.c_ns.eng log_src (fun () ->
-              Printf.sprintf "%s: aborting after %d retransmits (una=%d)"
-                c.c_ns.ns_name c.c_retransmits c.snd_una);
           c.c_state <- Closed;
           tcp_unregister c;
           c.on_close_cb ()
@@ -644,9 +639,6 @@ and tcp_rto_fire c =
         else begin
         (* No progress since arming: retransmit. *)
         c.c_retransmits <- c.c_retransmits + 1;
-        Nest_sim.Log.debug ~engine:c.c_ns.eng log_src (fun () ->
-            Printf.sprintf "%s: RTO retransmit #%d (una=%d nxt=%d)"
-              c.c_ns.ns_name c.c_retransmits c.snd_una c.snd_nxt);
         c.rto_backoff <- c.rto_backoff + 1;
         c.ssthresh <- Int.max (2 * c.c_mss) ((c.snd_nxt - c.snd_una) / 2);
         c.cwnd <- init_cwnd_segments * c.c_mss;
@@ -1001,9 +993,7 @@ let demux ns (in_dev : Dev.t option) (pkt : Packet.t) =
       if s.u_kernel then deliver ()
       else Engine.schedule ns.eng ~delay:(wakeup_delay ns) deliver
     | Some _ | None ->
-      note_drop ns `No_socket;
-      Nest_sim.Log.debug ~engine:ns.eng log_src (fun () ->
-          Format.asprintf "%s: no UDP socket for %a" ns.ns_name Packet.pp pkt))
+      note_drop ns `No_socket)
   | Packet.Tcp { seg; _ } -> tcp_input ns in_dev pkt seg
   | Packet.Icmp_echo { id; seq; reply } -> icmp_input ns pkt ~id ~seq ~reply
 

@@ -21,9 +21,11 @@
    order / wheel seq) order no matter how many domains pump, so
    [shards=N, domains=D] is byte-identical to [shards=N, domains=1].
 
+   [run] is one horizon loop for any domain count: each domain pumps a
+   fixed subset of shards until all of them reach the horizon.
    Single-writer discipline: a shard is only ever pumped by one domain
-   at a time (static assignment in [run]); its publish cell has one
-   writer, so plain read-after-read on the Atomic is race-free.
+   (static assignment in [run]); its publish cell has one writer, so
+   plain read-after-read on the Atomic is race-free.
    Mailboxes are the only shared mutable state and sit under a mutex;
    the [l_head] date hint is re-published atomically after every
    push/pop so peeking the head of all inbound links costs one atomic
@@ -147,8 +149,7 @@ let link t ~src ~dst ~lookahead ?(label = "") () =
    from another domain lands at >= safe as argued above; and only the
    receiver pops its mailboxes.  So the cached head equals the true one
    whenever either is below [safe], and a stale pick can only be late
-   for a message this pump would not execute anyway.  [drain] has no
-   [safe] and rescans every step. *)
+   for a message this pump would not execute anyway. *)
 let send t l ~delay fn =
   if delay < l.l_lookahead then
     invalid_arg "Sharded.send: delay below the link's declared lookahead";
@@ -276,35 +277,17 @@ let reset_run t =
       Atomic.set s.sh_publish (Engine.now s.sh_engine))
     t.sd_shards
 
-let run_horizon_single t ~horizon =
-  let all_done = ref false in
-  while not !all_done do
-    let progress = ref false and d = ref true in
-    Array.iter
-      (fun s ->
-        if not s.sh_done then begin
-          if pump s ~horizon then progress := true;
-          if not s.sh_done then d := false
-        end)
-      t.sd_shards;
-    all_done := !d;
-    if (not !all_done) && not !progress then
-      (* Unreachable with positive lookahead: the minimal blocked bound
-         always advances some publish.  Fail loudly rather than spin. *)
-      failwith "Sharded.run: no shard can make progress (deadlock)"
-  done
-
-let run_horizon_parallel t ~horizon ~domains =
+(* Shard i is pumped only by domain [i mod domains], in ascending index
+   order, so with one domain the loop visits shards exactly as a plain
+   round-robin would. *)
+let run ~until:horizon ?(domains = 1) t =
+  reset_run t;
   let nshards = Array.length t.sd_shards in
-  let domains = min domains nshards in
+  let domains = Int.max 1 (Int.min domains nshards) in
   let worker d () =
-    (* Static shard assignment: shard i is pumped only by domain
-       [i mod domains], preserving the single-writer discipline. *)
-    let mine = ref [] in
-    for i = nshards - 1 downto 0 do
-      if i mod domains = d then mine := t.sd_shards.(i) :: !mine
-    done;
-    let mine = !mine in
+    let mine =
+      List.filter (fun s -> s.sh_ix mod domains = d) (Array.to_list t.sd_shards)
+    in
     let all_done = ref false in
     let idle = ref 0 in
     while not !all_done do
@@ -318,6 +301,11 @@ let run_horizon_parallel t ~horizon ~domains =
         mine;
       all_done := !dn;
       if (not !all_done) && not !progress then begin
+        (* With one domain nothing else can publish: unreachable with
+           positive lookahead, since the minimal blocked bound always
+           advances some publish.  Fail loudly rather than spin. *)
+        if domains = 1 then
+          failwith "Sharded.run: no shard can make progress (deadlock)";
         (* Our shards are waiting on another domain's publishes.  Spin
            briefly — a working neighbour usually publishes within a few
            polls — then back off to real sleeps so oversubscribed hosts
@@ -333,50 +321,6 @@ let run_horizon_parallel t ~horizon ~domains =
   let others = List.init (domains - 1) (fun i -> Domain.spawn (worker (i + 1))) in
   worker 0 ();
   List.iter Domain.join others
-
-(* Drain mode: execute the globally earliest work item until every wheel
-   and mailbox is empty.  The global merge executes each shard's events
-   in exactly the order the conservative loop would (the per-shard
-   comparator is identical); it exists because "run until empty" has no
-   horizon for the publish fixpoint to converge to. *)
-let drain t =
-  let continue_ = ref true in
-  while !continue_ do
-    let best = ref max_int and best_s = ref None in
-    Array.iter
-      (fun s ->
-        delivery_head s;
-        let c = Int.min s.sh_head_at (wheel_next s.sh_engine) in
-        if c < !best then begin
-          best := c;
-          best_s := Some s
-        end)
-      t.sd_shards;
-    match !best_s with
-    | None -> continue_ := false
-    | Some s ->
-      (* The scan above left [s]'s head fresh: nothing ran since. *)
-      let da = s.sh_head_at in
-      if da <= wheel_next s.sh_engine then begin
-        let l = s.sh_inbound.(s.sh_head_ix) in
-        let fn = pop_delivery l in
-        Engine.run_external s.sh_engine ~at:da ~label:l.l_label fn;
-        s.sh_delivered <- s.sh_delivered + 1
-      end
-      else ignore (Engine.step s.sh_engine)
-  done
-
-let run ?until ?(domains = 1) t =
-  match until with
-  | None ->
-    if domains > 1 then
-      invalid_arg "Sharded.run: draining (no ~until) is single-domain only";
-    drain t
-  | Some horizon ->
-    reset_run t;
-    if domains <= 1 || Array.length t.sd_shards = 1 then
-      run_horizon_single t ~horizon
-    else run_horizon_parallel t ~horizon ~domains
 
 type shard_stats = {
   ss_shard : int;

@@ -4,7 +4,7 @@
     A sharded run partitions a scenario's state (hosts, namespaces,
     devices, VMs, workload endpoints) into [shards] sub-engines — each an
     ordinary {!Engine.t} with its own wheel queue, metrics registry and
-    (optionally) trace ring.  Within a shard, events execute in exactly
+    (optionally) tracer.  Within a shard, events execute in exactly
     the engine's [(prio, seq)] order.  Shards interact only through
     {!link}s: timestamped mailboxes whose [lookahead] is a lower bound on
     the latency of every message sent across them (the simulated
@@ -66,14 +66,14 @@ val send : t -> link -> delay:Time.ns -> (unit -> unit) -> unit
     [source now + delay].  [delay] must be [>= lookahead] (the link's
     conservative promise); raises [Invalid_argument] otherwise. *)
 
-val run : ?until:Time.ns -> ?domains:int -> t -> unit
+val run : until:Time.ns -> ?domains:int -> t -> unit
 (** Advances every shard to [until] (events dated [<= until] execute;
     every sub-engine clock ends at [>= until]).  [domains] (default 1)
     spreads shards across that many OCaml domains — results are
-    identical for any value; only wall-clock time changes.  Omitting
-    [until] drains every queue and mailbox instead, which is only
-    supported single-domain (raises [Invalid_argument] with
-    [domains > 1]). *)
+    identical for any value; only wall-clock time changes.  One loop
+    serves every domain count: with [domains = 1] it pumps all shards
+    round-robin on the calling domain and raises [Failure] if none can
+    make progress (unreachable with positive lookahead). *)
 
 type shard_stats = {
   ss_shard : int;

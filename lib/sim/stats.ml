@@ -7,8 +7,8 @@ type t = {
   mutable mn : float;
   mutable mx : float;
   mutable sorted_cache : float array option;
-      (* Samples sorted ascending; invalidated by [add]/[clear].  Shared by
-         all percentile/CDF queries between additions, so a summary line
+      (* Samples sorted ascending; invalidated by [add].  Shared by all
+         percentile queries between additions, so a summary line
          costs one sort, not one per percentile. *)
 }
 
@@ -32,15 +32,6 @@ let add t x =
   t.sorted_cache <- None;
   if x < t.mn then t.mn <- x;
   if x > t.mx then t.mx <- x
-
-let clear t =
-  t.data <- [||];
-  t.len <- 0;
-  t.sum <- 0.0;
-  t.sumsq <- 0.0;
-  t.mn <- infinity;
-  t.mx <- neg_infinity;
-  t.sorted_cache <- None
 
 let count t = t.len
 let total t = t.sum
@@ -85,32 +76,7 @@ let percentile t p =
 
 let median t = percentile t 50.0
 
-let cdf ?(points = 100) t =
-  if t.len = 0 then []
-  else begin
-    let a = sorted t in
-    let n = t.len in
-    let sample i =
-      let idx = Stdlib.min (n - 1) (i * (n - 1) / Stdlib.max 1 (points - 1)) in
-      (a.(idx), float_of_int (idx + 1) /. float_of_int n)
-    in
-    List.init points sample
-  end
-
 let samples t = Array.sub t.data 0 t.len
-
-let merge a b =
-  let m = create ~name:(name a) () in
-  Array.iter (add m) (samples a);
-  Array.iter (add m) (samples b);
-  m
-
-let to_hdr ?error t =
-  let h = Hdr.create ?error ~name:t.stat_name () in
-  for i = 0 to t.len - 1 do
-    Hdr.add h t.data.(i)
-  done;
-  h
 
 let pp_summary fmt t =
   if t.len = 0 then Format.fprintf fmt "%s: (no samples)" t.stat_name

@@ -1,7 +1,7 @@
 (** Sample accumulators for experiment metrics.
 
-    A [t] keeps every sample (float) so that exact percentiles and CDFs can
-    be produced, plus running moments for O(1) mean/stddev queries.  Sample
+    A [t] keeps every sample (float) so that exact percentiles can be
+    produced, plus running moments for O(1) mean/stddev queries.  Sample
     volumes in this project are bounded (at most a few hundred thousand per
     run), so retention is cheap and avoids quantile-sketch error.
 
@@ -9,8 +9,7 @@
     tables) are byte-compared across commits, so their percentiles must
     not move by a bucket width.  Where a digest only needs to be
     *mergeable* — per-hop metrics, SLO windows, fleet-wide aggregation
-    across [--jobs] cells — use {!Hdr} instead (or {!to_hdr} to bridge
-    an exact accumulator into that world). *)
+    across [--jobs] cells — use {!Hdr} instead. *)
 
 type t
 
@@ -18,10 +17,6 @@ val create : ?name:string -> unit -> t
 val name : t -> string
 
 val add : t -> float -> unit
-
-val clear : t -> unit
-(** Drops all samples and running moments; the accumulator is reusable
-    (keeps its name).  Used by {!Metrics.reset}. *)
 
 val count : t -> int
 val mean : t -> float
@@ -41,20 +36,8 @@ val percentile : t -> float -> float
 
 val median : t -> float
 
-val cdf : ?points:int -> t -> (float * float) list
-(** [(value, fraction <= value)] pairs suitable for plotting; [points]
-    defaults to 100. *)
-
 val samples : t -> float array
 (** Copy of the raw samples in insertion order. *)
-
-val merge : t -> t -> t
-(** New accumulator holding both sample sets. *)
-
-val to_hdr : ?error:float -> t -> Hdr.t
-(** Folds the retained samples into a fresh mergeable sketch (error
-    bound as {!Hdr.create}).  The bridge from exact per-cell results to
-    fleet-wide percentile aggregation. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** One-line [name: n=… mean=… sd=… p50=… p99=…] rendering. *)

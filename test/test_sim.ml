@@ -390,26 +390,6 @@ let test_stats_percentiles () =
     (Stats.percentile s 25.0);
   Alcotest.(check (float 1e-9)) "median" 30.0 (Stats.median s)
 
-let test_stats_merge () =
-  let a = Stats.create () and b = Stats.create () in
-  List.iter (Stats.add a) [ 1.; 2. ];
-  List.iter (Stats.add b) [ 3.; 4. ];
-  let m = Stats.merge a b in
-  Alcotest.(check int) "count" 4 (Stats.count m);
-  Alcotest.(check (float 1e-9)) "mean" 2.5 (Stats.mean m)
-
-let test_stats_cdf_monotone =
-  QCheck.Test.make ~name:"cdf fractions are nondecreasing in [0,1]"
-    ~count:100
-    QCheck.(list_of_size (Gen.int_range 1 80) (float_range 0. 100.))
-    (fun xs ->
-      let s = Stats.create () in
-      List.iter (Stats.add s) xs;
-      let cdf = Stats.cdf ~points:20 s in
-      let fracs = List.map snd cdf in
-      List.for_all (fun f -> f >= 0.0 && f <= 1.0) fracs
-      && List.sort compare fracs = fracs)
-
 let test_histogram () =
   let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
   List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 2.5; 9.5; 11.0; -1.0 ];
@@ -601,8 +581,6 @@ let () =
       ( "stats",
         [ qtest test_stats_against_oracle;
           Alcotest.test_case "percentiles" `Quick test_stats_percentiles;
-          Alcotest.test_case "merge" `Quick test_stats_merge;
-          qtest test_stats_cdf_monotone;
           Alcotest.test_case "histogram" `Quick test_histogram ] );
       ( "exec",
         [ Alcotest.test_case "serializes" `Quick test_exec_serializes;
