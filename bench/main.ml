@@ -790,7 +790,7 @@ let () =
   end;
   if not micro_only then begin
     match ids with
-    | [] -> Registry.run_all ~jobs ~quick ()
+    | [] -> Registry.run_all ~quick
     | ids ->
       List.iter
         (fun id ->

@@ -9,52 +9,38 @@
      nestsim trace gen --users 492 --seed 2026 --out trace.csv
      nestsim trace stats trace.csv *)
 
+module Registry = Nest_experiments.Registry
+
 let list_cmd () =
   List.iter
-    (fun e ->
-      Printf.printf "%-8s %s\n" e.Nest_experiments.Registry.id
-        e.Nest_experiments.Registry.description)
-    (Nest_experiments.Registry.all @ Nest_experiments.Registry.ablations)
+    (fun e -> Printf.printf "%-8s %s\n" e.Registry.id e.Registry.description)
+    (Registry.all @ Registry.ablations)
 
-let run_cmd ids quick jobs shards trace metrics obs_json trace_capacity =
-  Nestfusion.Testbed.set_default_shards shards;
+(* The batch ids [run] accepts besides the registered experiments. *)
+let batches =
+  [ ("all", Registry.run_all);
+    ( "ablations",
+      fun ~quick ->
+        List.iter (fun e -> e.Registry.run ~quick) Registry.ablations ) ]
+
+let run_cmd () experiments quick jobs trace metrics obs_json trace_capacity =
   Nest_experiments.Exp_util.Obs.configure ~trace ~metrics ~json:obs_json
     ~trace_capacity ();
   Nest_experiments.Exp_util.Par.set_jobs jobs;
-  (match ids with
-  | [ "all" ] | [] -> Nest_experiments.Registry.run_all ~jobs ~quick ()
-  | [ "ablations" ] ->
-    List.iter
-      (fun e -> e.Nest_experiments.Registry.run ~quick)
-      Nest_experiments.Registry.ablations
-  | ids ->
-    List.iter
-      (fun id ->
-        match Nest_experiments.Registry.find id with
-        | Some e -> e.Nest_experiments.Registry.run ~quick
-        | None ->
-          Printf.eprintf "unknown experiment %S; try `nestsim list'\n" id;
-          exit 1)
-      ids);
+  (match experiments with
+  | [] -> Registry.run_all ~quick
+  | es -> List.iter (fun (_, run) -> run ~quick) es);
   Nest_experiments.Exp_util.Obs.dump ()
 
 (* Observability-first run: full collection on, any registered experiment
    (or none), a Perfetto-loadable Chrome trace written to --out, and a
    per-hop latency-attribution table comparing the deployment modes. *)
-let obs_cmd ids quick shards out trace_capacity timeline_period_us prov_sample
-    slo =
-  Nestfusion.Testbed.set_default_shards shards;
+let obs_cmd () experiments quick out trace_capacity timeline_period_us
+    prov_sample slo =
   Nest_experiments.Exp_util.Obs.configure ~trace:true ~metrics:true
     ~provenance:true ~prov_sample ~timeline:true ~trace_capacity
     ~timeline_period:(Nest_sim.Time.us timeline_period_us) ();
-  List.iter
-    (fun id ->
-      match Nest_experiments.Registry.find id with
-      | Some e -> e.Nest_experiments.Registry.run ~quick
-      | None ->
-        Printf.eprintf "unknown experiment %S; try `nestsim list'\n" id;
-        exit 1)
-    ids;
+  List.iter (fun (_, run) -> run ~quick) experiments;
   (* Timed per-mode probes: each deploys its own testbed (attached above
      through the sync helpers), so their spans land in the export too.
      The probes decompose one datagram exactly, so they are never
@@ -120,11 +106,14 @@ let trace_gen users seed out =
       path)
 
 let trace_stats path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let csv = really_input_string ic len in
-  close_in ic;
-  let users = Nest_traces.Trace.of_csv csv in
+  let users =
+    try
+      Nest_traces.Trace.of_csv
+        (In_channel.with_open_text path In_channel.input_all)
+    with Sys_error msg | Failure msg ->
+      Printf.eprintf "nestsim: %s: %s\n" path msg;
+      exit 1
+  in
   let pods = Nest_sim.Stats.create ~name:"pods/user" () in
   let conts = Nest_sim.Stats.create ~name:"containers/pod" () in
   let cpu = Nest_sim.Stats.create ~name:"cpu/container (rel)" () in
@@ -190,9 +179,45 @@ let shards =
                  mainly exercises the sharded loop — multi-node scaling \
                  lives in the $(b,cluster) subcommand.")
 
-let ids =
-  Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT"
-         ~doc:"Experiment ids (fig2..fig15, table1, table2) or 'all'.")
+(* Sets every testbed's shard count before the command body runs. *)
+let default_shards =
+  Term.(const Nestfusion.Testbed.set_default_shards $ shards)
+
+(* Experiment ids resolve while parsing, so an unknown id is a usage
+   error (exit 124) before any experiment prints. *)
+let experiments ~batches ~doc =
+  let known =
+    batches
+    @ List.map
+        (fun e -> (e.Registry.id, e.Registry.run))
+        (Registry.all @ Registry.ablations)
+  in
+  let parse id =
+    match List.assoc_opt id known with
+    | Some run -> Ok (id, run)
+    | None ->
+      Error
+        (`Msg (Printf.sprintf "unknown experiment %S (see `nestsim list')" id))
+  in
+  let print ppf (id, _) = Format.pp_print_string ppf id in
+  Arg.(value & pos_all (conv (parse, print)) []
+       & info [] ~docv:"EXPERIMENT" ~doc)
+
+(* --seed and --check, shared by the scenario commands (chaos, cluster,
+   fleet). *)
+let seed =
+  Arg.(value & opt int64 42L
+       & info [ "seed" ] ~docv:"SEED"
+           ~doc:"Root seed: every node, link, fault and churn stream keys \
+                 off it, so the same seed gives the same outcome for any \
+                 placement, shard split or $(b,--jobs).")
+
+let check =
+  Arg.(value & flag
+       & info [ "check" ]
+           ~doc:"Determinism guard: digest the scenario sequentially and \
+                 under several parallel configurations (one line each) and \
+                 exit non-zero unless every digest is identical.")
 
 let trace_flag =
   Arg.(value & flag
@@ -220,8 +245,11 @@ let run_term =
   let doc = "Run experiments (default: all)." in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run_cmd $ ids $ quick $ jobs $ shards $ trace_flag $ metrics_flag
-      $ obs_json $ trace_capacity)
+      const run_cmd $ default_shards
+      $ experiments ~batches
+          ~doc:"Experiment ids (see $(b,list)), 'ablations' or 'all' \
+                (the default)."
+      $ quick $ jobs $ trace_flag $ metrics_flag $ obs_json $ trace_capacity)
 
 let list_term =
   let doc = "List available experiments." in
@@ -250,12 +278,6 @@ let obs_term =
                    sampled subset is identical across runs and $(b,--jobs) \
                    levels.")
   in
-  let obs_ids =
-    Arg.(value & pos_all string []
-         & info [] ~docv:"EXPERIMENT"
-             ~doc:"Experiment ids to run with full collection on (may be \
-                   empty: the probes alone still produce a trace).")
-  in
   let slo_flag =
     Arg.(value & flag
          & info [ "slo" ]
@@ -272,14 +294,17 @@ let obs_term =
     in
     Cmd.v (Cmd.info "run" ~doc)
       Term.(
-        const obs_cmd $ obs_ids $ quick $ shards $ out $ trace_capacity
-        $ timeline_period $ prov_sample $ slo_flag)
+        const obs_cmd $ default_shards
+        $ experiments ~batches:[]
+            ~doc:"Experiment ids to run with full collection on (may be \
+                  empty: the probes alone still produce a trace)."
+        $ quick $ out $ trace_capacity $ timeline_period $ prov_sample
+        $ slo_flag)
   in
   let doc = "Observability workflows (Perfetto export, latency attribution)." in
   Cmd.group (Cmd.info "obs" ~doc) [ run ]
 
-let chaos_cmd rates seed jobs shards quick check workload standby =
-  Nestfusion.Testbed.set_default_shards shards;
+let chaos_cmd () rates seed jobs quick check workload standby =
   if check then begin
     if
       not
@@ -304,19 +329,6 @@ let chaos_term =
              ~doc:"Management-plane fault rates to sweep (default \
                    0,0.1,0.3,0.5).  Each rate runs all four deployment \
                    modes.")
-  in
-  let seed =
-    Arg.(value & opt int64 42L
-         & info [ "seed" ] ~docv:"SEED"
-             ~doc:"Testbed seed; the fault plan derives its private \
-                   stream from it.  Same seed, same fault timeline.")
-  in
-  let check =
-    Arg.(value & flag
-         & info [ "check" ]
-             ~doc:"Determinism guard: run a fixed cell set sequentially, \
-                   fanned over --jobs domains, and again sequentially; \
-                   exit non-zero unless every cell digest is identical.")
   in
   let workload =
     Arg.(value & opt (enum Nest_fault.Chaos.workloads) Nest_fault.Chaos.Probe
@@ -344,7 +356,7 @@ let chaos_term =
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
-      const chaos_cmd $ rates $ seed $ jobs $ shards $ quick $ check
+      const chaos_cmd $ default_shards $ rates $ seed $ jobs $ quick $ check
       $ workload $ standby)
 
 (* A --profile name; "none" (like omitting the flag) means unimpaired
@@ -388,19 +400,6 @@ let cluster_term =
              ~doc:"OS-level parallelism: pump the shards from $(docv) \
                    domains (capped at the shard count).  The digest is \
                    identical for any value.")
-  in
-  let seed =
-    Arg.(value & opt int64 42L
-         & info [ "seed" ] ~docv:"SEED"
-             ~doc:"Root seed; each node keys its private streams off it, \
-                   so the outcome is independent of placement.")
-  in
-  let check =
-    Arg.(value & flag
-         & info [ "check" ]
-             ~doc:"Determinism guard: digest the scenario at shards 1, 2 \
-                   and 4 (the latter two also with 2 domains); exit \
-                   non-zero unless all digests are byte-identical.")
   in
   let doc =
     "Cross-node UDP_RR ring on the sharded parallel engine: one \
@@ -463,19 +462,6 @@ let fleet_term =
              ~doc:"OS-level parallelism: pump the shards from $(docv) \
                    domains (capped at the shard count).  The digest is \
                    identical for any value.")
-  in
-  let seed =
-    Arg.(value & opt int64 42L
-         & info [ "seed" ] ~docv:"SEED"
-             ~doc:"Root seed; every node, link and churn stream keys off \
-                   it, so the outcome is independent of placement.")
-  in
-  let check =
-    Arg.(value & flag
-         & info [ "check" ]
-             ~doc:"Determinism guard: digest the scenario at (shards, \
-                   domains) = (1,1), (2,1), (4,2) and (4,4); exit non-zero \
-                   unless all digests are byte-identical.")
   in
   let fault_rate =
     Arg.(value & opt probability 0.0
@@ -544,31 +530,29 @@ let fleet_term =
       $ autoscale $ service_us $ pods_max $ frontier)
 
 let trace_term =
-  let users =
-    Arg.(value & opt int 492 & info [ "users" ] ~doc:"Number of users.")
+  let gen =
+    let users =
+      Arg.(value & opt positive_int 492
+           & info [ "users" ] ~doc:"Number of users.")
+    in
+    let seed =
+      Arg.(value & opt int 2026 & info [ "seed" ] ~doc:"PRNG seed.")
+    in
+    let out =
+      Arg.(value & opt (some string) None & info [ "out" ] ~doc:"Output file.")
+    in
+    let doc = "Generate a synthetic trace (CSV on stdout without --out)." in
+    Cmd.v (Cmd.info "gen" ~doc) Term.(const trace_gen $ users $ seed $ out)
   in
-  let seed = Arg.(value & opt int 2026 & info [ "seed" ] ~doc:"PRNG seed.") in
-  let out =
-    Arg.(value & opt (some string) None & info [ "out" ] ~doc:"Output file.")
-  in
-  let action =
-    Arg.(value & pos 0 (enum [ ("gen", `Gen); ("stats", `Stats) ]) `Gen
-           & info [] ~docv:"ACTION")
-  in
-  let file =
-    Arg.(value & pos 1 (some string) None & info [] ~docv:"FILE")
+  let stats =
+    let file =
+      Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
+    in
+    let doc = "Summarize a trace CSV (pods/user, containers/pod, cpu)." in
+    Cmd.v (Cmd.info "stats" ~doc) Term.(const trace_stats $ file)
   in
   let doc = "Generate or summarize synthetic cluster traces." in
-  Cmd.v (Cmd.info "trace" ~doc)
-    Term.(
-      const (fun action users seed out file ->
-          match action with
-          | `Gen -> trace_gen users seed out
-          | `Stats -> (
-            match file with
-            | Some f -> trace_stats f
-            | None -> prerr_endline "trace stats: FILE required"; Stdlib.exit 1))
-      $ action $ users $ seed $ out $ file)
+  Cmd.group (Cmd.info "trace" ~doc) [ gen; stats ]
 
 let main =
   let doc = "Nested Virtualization Without the Nest — experiment driver" in

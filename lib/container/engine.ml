@@ -36,8 +36,6 @@ let create vm ~name =
     d_bridge = None; d_containers = []; nat_assignments = []; next_cid = 1;
     image_cache = [] }
 
-let vm t = t.d_vm
-
 let primary_vm_ip t =
   let vns = Nest_virt.Vm.ns t.d_vm in
   let non_lo =
@@ -180,13 +178,8 @@ let stop t c =
   end
 
 let containers t = t.d_containers
-let name c = c.c_name
-let entity c = c.c_entity
 let netns c = c.c_netns
-let app_exec c = c.c_app_exec
 let state c = c.c_state
-let cpu_req c = c.c_cpu_req
-let mem_req c = c.c_mem_req
 
 let boot_duration_ns c =
   match c.c_ready_at with

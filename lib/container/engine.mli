@@ -15,7 +15,6 @@ type t
 type container
 
 val create : Nest_virt.Vm.t -> name:string -> t
-val vm : t -> Nest_virt.Vm.t
 
 val docker0_subnet : Ipv4.cidr
 (** 172.17.0.0/16, Docker's default. *)
@@ -23,9 +22,6 @@ val docker0_subnet : Ipv4.cidr
 val ensure_bridge : t -> Bridge.t
 (** Creates docker0 (in-guest bridge + gateway address + masquerade via
     the VM's primary address) on first call. *)
-
-val primary_vm_ip : t -> Ipv4.t
-(** The VM's eth0 address (NAT target for published ports). *)
 
 val nat_net_setup :
   t -> netns:Stack.ns -> publish:(int * int) list -> (unit -> unit) -> unit
@@ -57,13 +53,8 @@ val run :
 val stop : t -> container -> unit
 val containers : t -> container list
 
-val name : container -> string
-val entity : container -> string
 val netns : container -> Stack.ns
-val app_exec : container -> Nest_sim.Exec.t
 val state : container -> [ `Creating | `Running | `Stopped ]
-val cpu_req : container -> float
-val mem_req : container -> float
 
 val boot_duration_ns : container -> Nest_sim.Time.ns option
 (** Order-to-ready duration (the Fig. 8 metric); [None] until ready. *)

@@ -28,8 +28,6 @@ let make_config ?(standby = 0) vmm =
   { vmm; taps = Hashtbl.create 8; counts = Hashtbl.create 8; standby;
     pool = Hashtbl.create 8; sb_seq = 0 }
 
-let standby_depth config = config.standby
-
 let lo_subnet = Ipv4.cidr_of_string "127.0.0.0/8"
 
 let ensure_tap config pod_name =
@@ -163,7 +161,7 @@ let plugin config =
           | Ok mac -> finish_with_mac mac)
         ()
   in
-  { Nest_orch.Cni.cni_name = "hostlo"; add }
+  { Nest_orch.Cni.add }
 
 let tap_of_pod config pod = Hashtbl.find_opt config.taps pod
 

@@ -31,8 +31,6 @@ val make_config : ?standby:int -> Nest_virt.Vmm.t -> config
     the pod's critical path.  This is the mitigation the chaos sweep
     measures for Hostlo's availability dip at high fault rates. *)
 
-val standby_depth : config -> int
-
 val preprovision : config -> node:Nest_orch.Node.t -> pod_name:string -> unit
 (** Fill the (node's VM, pod) standby pool up to the configured depth by
     issuing background hot-plugs (kubelet retry semantics; failures are
@@ -40,9 +38,6 @@ val preprovision : config -> node:Nest_orch.Node.t -> pod_name:string -> unit
     at deployment setup and again from the VM-restart recovery hook — a
     crash voids the banked endpoints (they died with the QEMU process;
     stale entries are recognised by incarnation handle and dropped). *)
-
-val standby_ready : config -> vm_name:string -> pod_name:string -> int
-(** Endpoints currently banked for (vm, pod) (diagnostics/tests). *)
 
 val plugin : config -> Nest_orch.Cni.t
 (** CNI plugin named "hostlo".  [add] treats each call for the same pod

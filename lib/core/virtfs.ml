@@ -23,7 +23,6 @@ let share host ~name =
     server = Nest_virt.Host.new_vhost_exec host ~name:("9pfs-" ^ name);
     tree = Hashtbl.create 16; op_count = 0 }
 
-let name t = t.fs_name
 let mount t vm = { m_vm = vm; fs = t }
 
 (* guest request -> transport -> server work -> transport -> guest k *)

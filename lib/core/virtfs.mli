@@ -13,7 +13,6 @@ type t
 type mount
 
 val share : Nest_virt.Host.t -> name:string -> t
-val name : t -> string
 
 val mount : t -> Nest_virt.Vm.t -> mount
 (** One mount per guest; mounting twice returns a second handle onto the

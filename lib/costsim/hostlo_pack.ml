@@ -276,13 +276,6 @@ let improve (plan : Kube_pack.plan) =
   { vms_removed = !removed; vms_downsized = !downsized;
     containers_moved = !moved }
 
-let pack_and_improve user =
-  let plan = Kube_pack.pack_user user in
-  Kube_pack.check_invariants plan;
-  let stats = improve plan in
-  Kube_pack.check_invariants plan;
-  (plan, stats)
-
 let improve_copy base =
   let plan = Kube_pack.copy_plan base in
   let stats = improve plan in

@@ -130,8 +130,3 @@ let packing_policy ~quick =
   Exp_util.row
     "  (a weaker baseline leaves more fragmentation for Hostlo to reclaim)"
 
-let all ~quick =
-  guest_factor ~quick;
-  chain_length ~quick;
-  hostlo_fanout ~quick;
-  packing_policy ~quick

@@ -22,4 +22,3 @@ val packing_policy : quick:bool -> unit
     least-requested and first-fit placement: consolidation is what keeps
     the baseline competitive, shrinking Hostlo's relative savings. *)
 
-val all : quick:bool -> unit

@@ -16,5 +16,3 @@ val plot :
     12 rows, [width] to 72 columns of plot area.  Returns the rendered
     block (with legend); raises [Invalid_argument] on empty input. *)
 
-val markers : char list
-(** Marker cycle, in series order. *)

@@ -109,9 +109,6 @@ val provenance_probe_single :
     datagram), returning the per-hop latency attribution of the measured
     one.  Raises [Failure] if the probe is never delivered. *)
 
-val provenance_probe_pair :
-  ?seed:int64 -> mode:Modes.pair -> unit -> Nest_sim.Provenance.entry list
-
 val provenance_probes :
   unit -> (string * Nest_sim.Provenance.entry list) list
 (** The `obs` subcommand's comparison set: [`Nat], [`Brfusion],

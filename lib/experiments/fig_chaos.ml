@@ -126,9 +126,7 @@ let check ?(seed = 42L) ?(jobs = 4) ?(workload = Chaos.Probe) ?(standby = 0)
   let digest_of c = Chaos.digest (run_cell c) in
   let sequential_o = List.map run_cell cs in
   let sequential = List.map Chaos.digest sequential_o in
-  Exp_util.Par.set_jobs jobs;
-  let parallel = Exp_util.Par.map digest_of cs in
-  Exp_util.Par.set_jobs 1;
+  let parallel = Nest_sim.Domain_pool.map ~jobs digest_of cs in
   let repeat = List.map digest_of cs in
   let identical =
     List.for_all2 String.equal sequential parallel

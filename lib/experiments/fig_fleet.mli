@@ -27,7 +27,6 @@ type admission_policy = [ `Fixed | `Burn | `Codel ]
     [`Burn] an AIMD limit driven by the node's own latency-SLO burn;
     [`Codel] deadline-aware dropping. *)
 
-val admission_to_string : admission_policy -> string
 val admissions : (string * admission_policy) list
 (** Every policy by name, for CLI parsing. *)
 

@@ -81,11 +81,8 @@ let ablations =
       run = (fun ~quick -> Fig_fleet.run ~quick ()) } ]
 
 let find id = List.find_opt (fun e -> e.id = id) (all @ ablations)
-let ids () = List.map (fun e -> e.id) (all @ ablations)
 
 (* Experiments print as they go, so the batch itself stays sequential;
-   [jobs] widens the cell-level fan-out *inside* each experiment (see
-   {!Exp_util.Par}), which is where the independent testbeds are. *)
-let run_all ?(jobs = 1) ~quick () =
-  Exp_util.Par.set_jobs jobs;
-  List.iter (fun e -> e.run ~quick) all
+   the {!Exp_util.Par} width widens the cell-level fan-out *inside* each
+   experiment, which is where the independent testbeds are. *)
+let run_all ~quick = List.iter (fun e -> e.run ~quick) all

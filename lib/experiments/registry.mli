@@ -18,10 +18,8 @@ val ablations : entry list
 val find : string -> entry option
 (** Searches both [all] and [ablations]. *)
 
-val ids : unit -> string list
-
-val run_all : ?jobs:int -> quick:bool -> unit -> unit
-(** Runs every entry of [all] in paper order.  [jobs] (default 1) sets
-    the {!Exp_util.Par} fan-out width: experiments still print in order,
-    but each fans its independent cells (one testbed + workload apiece)
-    across that many domains.  Results are identical for any [jobs]. *)
+val run_all : quick:bool -> unit
+(** Runs every entry of [all] in paper order.  Each experiment fans its
+    independent cells (one testbed + workload apiece) across the
+    {!Exp_util.Par} width its caller set; they still print in order and
+    the results are identical for any width. *)

@@ -105,9 +105,6 @@ val run_cell :
     many pooled endpoints per (VM, pod) and fails the service over to a
     surviving VM on crash. *)
 
-val render : outcome -> string
-(** Canonical text form covering the fault timeline and every statistic. *)
-
 val digest : outcome -> string
 (** MD5 hex of {!render} — equal digests mean bit-identical cells. *)
 

@@ -71,42 +71,3 @@ let event_at = function
   | Conntrack_clamp { at; _ }
   | Corrupt_burst { at; _ } -> at
 
-let event_name = function
-  | Vm_crash _ -> "vm_crash"
-  | Link_down _ -> "link_down"
-  | Link_flap _ -> "link_flap"
-  | Tap_exhaust _ -> "tap_exhaust"
-  | Conntrack_clamp _ -> "conntrack_clamp"
-  | Corrupt_burst _ -> "corrupt_burst"
-
-let pp_event fmt e =
-  match e with
-  | Vm_crash { at; vm; restart_after } ->
-    Format.fprintf fmt "%a vm_crash %s%s" Time.pp at vm
-      (match restart_after with
-      | None -> ""
-      | Some r -> Format.asprintf " (restart +%a)" Time.pp r)
-  | Link_down { at; vm; duration } ->
-    Format.fprintf fmt "%a link_down %s for %a" Time.pp at vm Time.pp duration
-  | Link_flap { at; vm; down_ns; up_ns; cycles } ->
-    Format.fprintf fmt "%a link_flap %s %dx(down %a, up %a)" Time.pp at vm
-      cycles Time.pp down_ns Time.pp up_ns
-  | Tap_exhaust { at; tap; duration } ->
-    Format.fprintf fmt "%a tap_exhaust %s for %a" Time.pp at tap Time.pp
-      duration
-  | Conntrack_clamp { at; scope; capacity; duration } ->
-    Format.fprintf fmt "%a conntrack_clamp %s cap=%d for %a" Time.pp at
-      (match scope with `Host -> "host" | `Vm v -> v)
-      capacity Time.pp duration
-  | Corrupt_burst { at; vm; prob; duration } ->
-    Format.fprintf fmt "%a corrupt_burst %s p=%.3f for %a" Time.pp at vm prob
-      Time.pp duration
-
-let pp fmt t =
-  Format.fprintf fmt "fault plan (seed %Ld):@." t.seed;
-  (match t.qmp with
-  | None -> ()
-  | Some q ->
-    Format.fprintf fmt "  qmp: fail=%.3f timeout=%.3f partial=%.3f (%a)@."
-      q.fail_prob q.timeout_prob q.partial_prob Time.pp q.timeout_ns);
-  List.iter (fun e -> Format.fprintf fmt "  %a@." pp_event e) t.events

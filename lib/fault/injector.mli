@@ -29,4 +29,3 @@ val timeline : t -> (Nest_sim.Time.ns * string) list
     entry is also recorded as a ["fault.<kind>"] metrics bump and a
     [cat:"fault"] trace instant. *)
 
-val pp_timeline : Format.formatter -> t -> unit

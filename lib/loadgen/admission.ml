@@ -34,15 +34,6 @@ let burn ?(floor = 1) ?init ?(ceiling = 64) ?(high = 1.0) ?(low = 0.25)
 let codel ?(target_us = 5000.0) ?(interval = Time.ms 100) ?(ceiling = 64) () =
   Codel { target_us; interval; ceiling }
 
-let describe = function
-  | Fixed b -> Printf.sprintf "fixed(%d)" b
-  | Burn { floor; init; ceiling; high; low; window } ->
-    Printf.sprintf "burn(%d..%d from %d, high %.2f, low %.2f, %dms)" floor
-      ceiling init high low (window / 1_000_000)
-  | Codel { target_us; interval; ceiling } ->
-    Printf.sprintf "codel(%.0fus, %dms, cap %d)" target_us
-      (interval / 1_000_000) ceiling
-
 type codel_state = {
   mutable first_above : Time.ns option;
       (* when latency first stayed above target; the deadline for

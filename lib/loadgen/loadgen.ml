@@ -18,7 +18,6 @@ type counts = {
 
 type t = {
   g_engine : Engine.t;
-  g_label : string;
   g_arrival : Arrival.t;
   g_sizes : Size_dist.t;
   g_rng : Nest_sim.Prng.t;
@@ -106,7 +105,7 @@ let create ~engine ?(label = "loadgen") ~arrival ~sizes ~rng
       | None -> Admission.fixed max_outstanding)
   in
   let t =
-    { g_engine = engine; g_label = label; g_arrival = arrival;
+    { g_engine = engine; g_arrival = arrival;
       g_sizes = sizes; g_rng = rng; g_admission = admission;
       g_timeout = timeout; g_slo = slo; g_dispatch = dispatch;
       g_start = start; g_stop = stop; g_intended = Hashtbl.create 128;
@@ -137,7 +136,6 @@ let counts t =
 
 let latency t = t.g_latency
 let completions t = List.rev t.g_completions
-let label t = t.g_label
 let admission_limit t = Admission.limit t.g_admission
 
 (* ---- UDP frontend ---- *)

@@ -86,8 +86,6 @@ val completions : t -> (Nest_sim.Time.ns * float) list
 (** Completion trace [(when, latency_us)] in completion order — digest
     material for determinism checks. *)
 
-val label : t -> string
-
 val admission_limit : t -> int
 (** Current effective concurrency limit of the admission controller
     (see {!Admission.limit}). *)

@@ -22,8 +22,3 @@ let draw t rng =
     in
     max lo (min hi (int_of_float v))
 
-let pp fmt = function
-  | Fixed n -> Format.fprintf fmt "fixed:%d" n
-  | Uniform { lo; hi } -> Format.fprintf fmt "uniform:%d-%d" lo hi
-  | Pareto { shape; lo; hi } ->
-    Format.fprintf fmt "pareto:%g:%d-%d" shape lo hi

@@ -17,4 +17,3 @@ val draw : t -> Nest_sim.Prng.t -> int
     variants, zero for [Fixed] — stream usage is shape-stable).  Raises
     [Invalid_argument] on nonsense bounds. *)
 
-val pp : Format.formatter -> t -> unit

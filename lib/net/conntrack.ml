@@ -41,16 +41,12 @@ type t = {
   mutable next_port : int;
   mutable gen : int;
   mutable capacity : int option;
-  mutable ct_drops : int;
 }
 
 let create () =
-  { table = Hashtbl.create 64; next_port = 32768; gen = 0; capacity = None;
-    ct_drops = 0 }
+  { table = Hashtbl.create 64; next_port = 32768; gen = 0; capacity = None }
 
 let set_capacity t c = t.capacity <- c
-let capacity t = t.capacity
-let drops t = t.ct_drops
 
 (* nf_conntrack admission: an established flow always passes; a new flow
    needs room for its forward+reply binding pair.  When there is none the
@@ -61,11 +57,7 @@ let admit t p =
   | Some cap ->
     let f = flow_of_packet p in
     if Hashtbl.mem t.table f then true
-    else if Hashtbl.length t.table + 2 <= cap then true
-    else begin
-      t.ct_drops <- t.ct_drops + 1;
-      false
-    end
+    else Hashtbl.length t.table + 2 <= cap
 
 let alloc_port t =
   let p = t.next_port in
@@ -131,17 +123,3 @@ let dnat t p ~to_ip ~to_port =
 let entry_count t = Hashtbl.length t.table
 let generation t = t.gen
 
-let bindings t =
-  Hashtbl.fold
-    (fun f rw acc ->
-      let to_flow =
-        let src, sport =
-          match rw.new_src with Some (ip, p) -> (ip, p) | None -> (f.f_src, f.f_sport)
-        in
-        let dst, dport =
-          match rw.new_dst with Some (ip, p) -> (ip, p) | None -> (f.f_dst, f.f_dport)
-        in
-        { f with f_src = src; f_sport = sport; f_dst = dst; f_dport = dport }
-      in
-      (f, to_flow) :: acc)
-    t.table []

@@ -44,8 +44,6 @@ val set_capacity : t -> int option -> unit
     default, is unlimited).  Enforced through {!admit} at the netfilter
     layer, not inside {!snat}/{!dnat}. *)
 
-val capacity : t -> int option
-
 val admit : t -> Packet.t -> bool
 (** [admit t p] is [true] when [p]'s flow is already bound or the table
     has room for a new forward+reply pair.  Returns [false] — and counts
@@ -53,13 +51,8 @@ val admit : t -> Packet.t -> bool
     caller must then drop the packet (Linux "nf_conntrack: table full,
     dropping packet"). *)
 
-val drops : t -> int
-(** Packets refused by {!admit} because the table was full. *)
-
 val generation : t -> int
 (** Monotonic counter bumped whenever a new binding pair is created.
     Lets callers (the stack's flow cache) detect staleness with one
     comparison. *)
 
-val bindings : t -> (flow * flow) list
-(** [(matched flow, rewritten-to flow)] pairs, unordered. *)

@@ -67,7 +67,6 @@ let len t =
 let record_hop t hop =
   match t.trace with None -> () | Some r -> r := hop :: !r
 
-let hops t = match t.trace with None -> [] | Some r -> List.rev !r
 let is_broadcast t = Mac.is_broadcast t.dst
 
 let pp fmt t =

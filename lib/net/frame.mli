@@ -49,8 +49,5 @@ val len : t -> int
 val record_hop : t -> string -> unit
 (** No-op on untraced frames. *)
 
-val hops : t -> string list
-(** Hops in traversal order; [] when untraced. *)
-
 val is_broadcast : t -> bool
 val pp : Format.formatter -> t -> unit

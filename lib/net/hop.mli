@@ -31,9 +31,6 @@ val make :
   fixed_ns:int ->
   t
 
-val name : t -> string
-(** The attribution name: [hop_name] if set, else the exec's name. *)
-
 val set_name : t -> string -> unit
 (** Also invalidates the cached histograms. *)
 

@@ -22,8 +22,6 @@ let create ?(reserved = []) pool =
     allocated = IpSet.empty;
     size }
 
-let cidr t = t.pool
-
 let capacity t = t.size - IpSet.cardinal t.reserved
 let in_use t = IpSet.cardinal t.allocated
 

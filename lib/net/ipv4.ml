@@ -2,7 +2,6 @@ type t = int
 
 let mask32 = 0xffffffff
 let of_int i = i land mask32
-let to_int t = t
 
 let of_string s =
   match String.split_on_char '.' s with
@@ -21,7 +20,6 @@ let to_string t =
 
 let equal = Int.equal
 let compare = Int.compare
-let hash = Hashtbl.hash
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 let localhost = of_string "127.0.0.1"
 let any = 0
@@ -56,4 +54,3 @@ let host c i =
   if i < 0 || i >= size then invalid_arg "Ipv4.host: out of range";
   of_int (c.base + i)
 
-let pp_cidr fmt c = Format.pp_print_string fmt (cidr_to_string c)

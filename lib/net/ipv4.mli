@@ -7,10 +7,8 @@ val of_string : string -> t
 
 val to_string : t -> string
 val of_int : int -> t
-val to_int : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
 val localhost : t
@@ -37,4 +35,3 @@ val host_count : cidr -> int
 (** Number of usable host addresses (excludes network and broadcast for
     prefixes < 31). *)
 
-val pp_cidr : Format.formatter -> cidr -> unit

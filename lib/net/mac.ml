@@ -24,7 +24,6 @@ let to_string t =
 
 let equal = Int.equal
 let compare = Int.compare
-let hash = Hashtbl.hash
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 module Alloc = struct

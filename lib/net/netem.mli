@@ -47,13 +47,6 @@ type profile = {
   p_limit : int option;         (** Egress queue bound (tail drop). *)
 }
 
-val profiles : profile list
-(** [datacenter] (25 µs ± 5 µs, lossless), [wan] (10 ms ± 1 ms, 0.1 %),
-    [edge] (30 ms ± 5 ms, 0.5 %), [lossy] (5 ms ± 2 ms, 2 %, limit 64). *)
-
 val profile : string -> profile option
 val profile_names : unit -> string list
 
-val shape_profile :
-  Nest_sim.Engine.t -> Dev.t -> profile -> rng:Nest_sim.Prng.t -> t
-(** {!shape} with the profile's parameters. *)

@@ -16,7 +16,6 @@ type rule = {
 type t = {
   chains : rule list array;
   mutable total : int;
-  mutable hits : int;
   mutable gen : int;
 }
 
@@ -27,7 +26,7 @@ let hook_index = function
   | Output -> 3
   | Postrouting -> 4
 
-let create () = { chains = Array.make 5 []; total = 0; hits = 0; gen = 0 }
+let create () = { chains = Array.make 5 []; total = 0; gen = 0 }
 
 let chain t hook = t.chains.(hook_index hook)
 
@@ -49,7 +48,6 @@ let run t hook ctx pkt =
   let rec go pkt = function
     | [] -> Some pkt
     | r :: rest ->
-      t.hits <- t.hits + 1;
       if r.matches ctx pkt then
         match r.action ctx pkt with
         | Accept -> go pkt rest
@@ -61,7 +59,5 @@ let run t hook ctx pkt =
 
 let rule_count t hook = List.length (chain t hook)
 let total_rules t = t.total
-let rule_names t hook = List.map (fun r -> r.rule_name) (chain t hook)
-let hits t = t.hits
 let generation t = t.gen
 let no_ctx = { in_dev = None; out_dev = None }

@@ -41,12 +41,6 @@ val rule_count : t -> hook -> int
 val total_rules : t -> int
 (** Sum of {!rule_count} over all five hooks, read in O(1). *)
 
-val rule_names : t -> hook -> string list
-val hits : t -> int
-(** Total rule evaluations (diagnostics; a proxy for hook work).  Note
-    that packets served from the stack's flow cache skip rule
-    evaluation, so cached traversals do not count here. *)
-
 val generation : t -> int
 (** Monotonic counter bumped on every [append]/[remove]; lets callers
     (the stack's flow cache) detect staleness with one comparison. *)

@@ -51,5 +51,4 @@ val with_ports : ?src_port:int -> ?dst_port:int -> t -> t
 val decrement_ttl : t -> t option
 (** [None] once the TTL would reach 0 (packet must be dropped). *)
 
-val proto_name : t -> string
 val pp : Format.formatter -> t -> unit

@@ -35,5 +35,4 @@ let remove_dev t dev =
   t.gen <- t.gen + 1;
   t.routes <- List.filter (fun e -> e.dev != dev) t.routes
 
-let entries t = t.routes
 let generation t = t.gen

@@ -23,7 +23,6 @@ val next_hop : entry -> Ipv4.t -> Ipv4.t
 (** Gateway if set, otherwise the destination itself (on-link). *)
 
 val remove_dev : t -> Dev.t -> unit
-val entries : t -> entry list
 
 val generation : t -> int
 (** Monotonic counter bumped on every table mutation; lets callers

@@ -74,7 +74,6 @@ val add_addr : ns -> Dev.t -> Ipv4.t -> Ipv4.cidr -> unit
 (** Assigns an address and installs the connected (on-link) route. *)
 
 val addrs : ns -> (Dev.t * Ipv4.t * Ipv4.cidr) list
-val addr_of_dev : ns -> Dev.t -> Ipv4.t option
 val is_local_addr : ns -> Ipv4.t -> bool
 
 val set_ip_forward : ns -> bool -> unit
@@ -141,8 +140,6 @@ val set_default_flow_cache : bool -> unit
     lets a harness run a whole deployment mechanisms-off without
     plumbing a flag through every construction site.  Set it before
     building the world; existing namespaces are unaffected. *)
-
-val default_flow_cache : unit -> bool
 
 val flow_cache_stats : ns -> int * int
 (** [(hits, misses)] of the fast path since namespace creation (also

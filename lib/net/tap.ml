@@ -16,7 +16,6 @@ and t = {
   mutable queue_list : queue list;
   mutable reflected : int;
   mutable exhausted : bool;
-  mutable tap_drops : int;
   hop_ctr : Nest_sim.Metrics.counter;
   hop_site : Nest_sim.Engine.site;
 }
@@ -29,8 +28,7 @@ let note_hop t frame =
 let host_input t frame =
   (* Host side -> guest(s).  With several queues the kernel hashes flows;
      we deliver to the first queue, which matches single-queue virtio. *)
-  if t.exhausted then t.tap_drops <- t.tap_drops + 1
-  else begin
+  if not t.exhausted then begin
   note_hop t frame;
   match t.queue_list with
   | [] -> ()
@@ -48,7 +46,6 @@ let create engine ~name ~mode ~hop ?(per_queue_ns = 0) ~mac () =
   let t =
     { tap_name = name; tap_mode = mode; engine; hop; per_queue_ns; host_side;
       queue_list = []; reflected = 0; exhausted = false;
-      tap_drops = 0;
       hop_ctr =
         Nest_sim.Metrics.counter (Nest_sim.Engine.metrics engine)
           ("hop." ^ name);
@@ -58,7 +55,6 @@ let create engine ~name ~mode ~hop ?(per_queue_ns = 0) ~mac () =
   t
 
 let name t = t.tap_name
-let mode t = t.tap_mode
 let mac t = t.host_side.Dev.mac
 
 let host_dev t =
@@ -84,14 +80,10 @@ let queue_owner q = q.q_owner
 let queue_set_backend q f = q.backend <- Some f
 let queue_attached q = List.memq q q.tap.queue_list
 let set_exhausted t b = t.exhausted <- b
-let exhausted t = t.exhausted
-let drops t = t.tap_drops
 
 let queue_write q frame =
   let t = q.tap in
-  if t.exhausted || not (queue_attached q) then
-    t.tap_drops <- t.tap_drops + 1
-  else begin
+  if (not t.exhausted) && queue_attached q then begin
   note_hop t frame;
   match t.tap_mode with
   | Normal ->

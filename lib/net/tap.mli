@@ -31,7 +31,6 @@ val create :
     served queue — copying one descriptor per destination ring. *)
 
 val name : t -> string
-val mode : t -> mode
 
 val mac : t -> Mac.t
 (** The tap's own address.  A loopback tap is one interface multiplexed
@@ -70,7 +69,3 @@ val set_exhausted : t -> bool -> unit
     the tap (from the host side or from any queue) is dropped and
     counted — the behavior of full vhost rings under overload. *)
 
-val exhausted : t -> bool
-
-val drops : t -> int
-(** Frames dropped by exhaustion or by writes on detached queues. *)

@@ -10,8 +10,6 @@ module Sharded = Nest_sim.Sharded
 
 type t = {
   mutable w_client : (Ipv4.t * int) option;  (* last client src seen *)
-  mutable w_forwarded : int;
-  mutable w_returned : int;
 }
 
 type impair = {
@@ -19,20 +17,17 @@ type impair = {
   im_jitter : Nest_sim.Time.ns;
   im_rng : Nest_sim.Prng.t;
   mutable im_down : bool;
-  mutable im_dropped : int;
 }
 
 let impair ?(loss = 0.0) ?(jitter = 0) ~rng () =
   if loss < 0.0 || loss > 1.0 then invalid_arg "Wire.impair: loss in [0,1]";
   if jitter < 0 then invalid_arg "Wire.impair: jitter >= 0";
-  { im_loss = loss; im_jitter = jitter; im_rng = rng; im_down = false;
-    im_dropped = 0 }
+  { im_loss = loss; im_jitter = jitter; im_rng = rng; im_down = false }
 
 let impair_of_profile (p : Netem.profile) ~rng =
   impair ~loss:p.Netem.p_loss ~jitter:p.Netem.p_jitter ~rng ()
 
 let set_down im down = im.im_down <- down
-let impair_dropped im = im.im_dropped
 
 (* Decide one datagram's fate in the sending gateway's event: [None] to
    drop, [Some extra] to deliver with that much jitter on top of the
@@ -40,15 +35,9 @@ let impair_dropped im = im.im_dropped
 let impair_verdict = function
   | None -> Some 0
   | Some im ->
-    if im.im_down then begin
-      im.im_dropped <- im.im_dropped + 1;
-      None
-    end
+    if im.im_down then None
     else if im.im_loss > 0.0 && Nest_sim.Prng.float im.im_rng < im.im_loss
-    then begin
-      im.im_dropped <- im.im_dropped + 1;
-      None
-    end
+    then None
     else
       Some
         (if im.im_jitter > 0 then Nest_sim.Prng.int im.im_rng (im.im_jitter + 1)
@@ -57,7 +46,7 @@ let impair_verdict = function
 let udp_relay sd ~client_side:(cshard, cns) ~server_side:(sshard, sns)
     ~client_port ~server_port ~target:(tip, tport) ~latency ?fwd_impair
     ?rev_impair () =
-  let t = { w_client = None; w_forwarded = 0; w_returned = 0 } in
+  let t = { w_client = None } in
   let fwd =
     Sharded.link sd ~src:cshard ~dst:sshard ~lookahead:latency
       ~label:(Printf.sprintf "wire:%s>%s" (Stack.name cns) (Stack.name sns))
@@ -81,7 +70,6 @@ let udp_relay sd ~client_side:(cshard, cns) ~server_side:(sshard, sns)
         | None -> ()
         | Some extra ->
           Sharded.send sd rev ~delay:(latency + extra) (fun () ->
-              t.w_returned <- t.w_returned + 1;
               match (t.w_client, !client_sock) with
               | Some (ip, p), Some csock ->
                 Stack.Udp.sendto csock ~dst:ip ~dst_port:p payload
@@ -94,11 +82,8 @@ let udp_relay sd ~client_side:(cshard, cns) ~server_side:(sshard, sns)
         | None -> ()
         | Some extra ->
           Sharded.send sd fwd ~delay:(latency + extra) (fun () ->
-              t.w_forwarded <- t.w_forwarded + 1;
               Stack.Udp.sendto server_sock ~dst:tip ~dst_port:tport payload))
   in
   client_sock := Some csock;
   t
 
-let forwarded t = t.w_forwarded
-let returned t = t.w_returned

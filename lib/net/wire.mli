@@ -44,9 +44,6 @@ val set_down : impair -> bool -> unit
     direction is dropped.  Call only from events on the direction's
     source shard. *)
 
-val impair_dropped : impair -> int
-(** Datagrams dropped by loss or down state in this direction. *)
-
 val udp_relay :
   Nest_sim.Sharded.t ->
   client_side:int * Stack.ns ->
@@ -69,8 +66,3 @@ val udp_relay :
     consumes binds two distinct ports).  Raises like
     {!Nest_sim.Sharded.link} on a non-positive [latency]. *)
 
-val forwarded : t -> int
-(** Datagrams delivered to the server side so far. *)
-
-val returned : t -> int
-(** Reply datagrams delivered back to the client side so far. *)

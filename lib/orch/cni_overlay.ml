@@ -111,7 +111,7 @@ let plugin t =
     t.pod_addrs <- (netns, ip) :: t.pod_addrs;
     k netns
   in
-  { Cni.cni_name = "overlay:" ^ t.ov_name; add }
+  { Cni.add }
 
 let members t = List.map (fun m -> m.m_node) t.member_list
 

@@ -17,7 +17,6 @@ let create engine ~default_cni =
   { engine; default_cni; node_list = []; deployment_list = [] }
 
 let add_node t n = t.node_list <- t.node_list @ [ n ]
-let nodes t = t.node_list
 
 let deploy_pod t pod ?cni ?node ~on_ready () =
   let cni = Option.value cni ~default:t.default_cni in

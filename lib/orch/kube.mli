@@ -18,7 +18,6 @@ type deployment = {
 
 val create : Nest_sim.Engine.t -> default_cni:Cni.t -> t
 val add_node : t -> Node.t -> unit
-val nodes : t -> Node.t list
 
 val deploy_pod :
   t ->

@@ -5,7 +5,6 @@ open Nest_net
 type t = Node.t
 
 let of_node node = node
-let node t = t
 
 let configure_nic t ~netns ~mac ?ip ?subnet ?gateway ?on_dead ~k () =
   Nest_virt.Vm.wait_nic (Node.vm t) ~mac ?on_dead ~k:(fun dev ->
@@ -25,22 +24,19 @@ let configure_nic t ~netns ~mac ?ip ?subnet ?gateway ?on_dead ~k () =
     ()
 
 let pods_configured t = (Node.agent t).Node.configured
-let hotplug_retries t = (Node.agent t).Node.retries
 
 (* Hot-plug with kubelet semantics: a failed or timed-out QMP round-trip
    is retried with exponential backoff instead of wedging pod setup.
    [issue] is the raw VMM operation ({!Nest_virt.Vmm.hotplug_nic_mac} or
-   the Hostlo variant); each retry is counted on the agent and on the
-   engine's [recovery.hotplug_retries] metric so chaos runs can report
-   it.  The final failure (policy exhausted) is handed to [k] — deciding
+   the Hostlo variant); each retry is counted on the engine's
+   [recovery.hotplug_retries] metric so chaos runs can report it.  The
+   final failure (policy exhausted) is handed to [k] — deciding
    whether that loses the pod is the caller's business. *)
 let hotplug_with_retry t ?(policy = Backoff.default)
     ~(issue : k:((Mac.t, string) result -> unit) -> unit) ~k () =
   let engine = Nest_virt.Host.engine (Nest_virt.Vm.host (Node.vm t)) in
   Backoff.retry engine policy
     ~on_retry:(fun ~attempt ~delay_ns ->
-      let a = Node.agent t in
-      a.Node.retries <- a.Node.retries + 1;
       (* Registered on first retry only: unfaulted runs must not grow a
          zero-valued row in existing metrics dumps. *)
       let metrics = Nest_sim.Engine.metrics engine in

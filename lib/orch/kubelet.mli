@@ -15,8 +15,6 @@ type t
 val of_node : Node.t -> t
 (** The node's agent (one per node: the same agent on every call). *)
 
-val node : t -> Node.t
-
 val configure_nic :
   t ->
   netns:Stack.ns ->
@@ -50,8 +48,6 @@ val hotplug_with_retry :
     [recovery.hotplug_retries] metric (plus a ["fault"] trace instant).
     With no fault plan installed the operation succeeds first try and
     this is exactly one [issue] call. *)
-
-val hotplug_retries : t -> int
 
 val status : t -> string
 (** One-line node status (name, capacity, requested, configured pods). *)

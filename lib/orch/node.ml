@@ -1,4 +1,4 @@
-type agent = { mutable configured : int; mutable retries : int }
+type agent = { mutable configured : int }
 
 type t = {
   node_vm : Nest_virt.Vm.t;
@@ -18,7 +18,7 @@ let create vm =
     cpu_cap = float_of_int (Nest_virt.Vm.vcpus vm);
     mem_cap = float_of_int (Nest_virt.Vm.mem_mb vm) /. 1024.0;
     cpu_req = 0.0; mem_req = 0.0; node_ready = true;
-    node_agent = { configured = 0; retries = 0 } }
+    node_agent = { configured = 0 } }
 
 let vm t = t.node_vm
 let docker t = t.node_docker
@@ -29,7 +29,6 @@ let mem_capacity t = t.mem_cap
 let cpu_requested t = t.cpu_req
 let mem_requested t = t.mem_req
 
-let ready t = t.node_ready
 let set_ready t b = t.node_ready <- b
 
 let epsilon = 1e-9

@@ -3,9 +3,9 @@
 
 type t
 
-type agent = { mutable configured : int; mutable retries : int }
-(** The node agent's books (see {!Kubelet}): NICs configured and hot-plug
-    retries.  They live on the node so the agent needs no registry. *)
+type agent = { mutable configured : int }
+(** The node agent's books (see {!Kubelet}): NICs configured.  They live
+    on the node so the agent needs no registry. *)
 
 val create : Nest_virt.Vm.t -> t
 (** Capacity is the VM's vCPU count and memory. *)
@@ -19,10 +19,6 @@ val cpu_capacity : t -> float
 val mem_capacity : t -> float
 val cpu_requested : t -> float
 val mem_requested : t -> float
-
-val ready : t -> bool
-(** Node condition, [true] at creation.  The chaos controller flips it
-    when the backing VM crashes or comes back. *)
 
 val set_ready : t -> bool -> unit
 

@@ -39,4 +39,3 @@ val container :
 
 val cpu_total : t -> float
 val mem_total : t -> float
-val pp : Format.formatter -> t -> unit

@@ -53,13 +53,3 @@ let cores t ~entity cat ~window =
   if window <= 0 then 0.0
   else float_of_int (get t ~entity cat) /. float_of_int window
 
-let pp fmt t =
-  List.iter
-    (fun (e, cats) ->
-      Format.fprintf fmt "%-24s" e;
-      List.iter
-        (fun (c, ns) ->
-          Format.fprintf fmt " %s=%a" (category_to_string c) Time.pp ns)
-        cats;
-      Format.pp_print_newline fmt ())
-    (snapshot t)

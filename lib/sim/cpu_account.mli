@@ -45,4 +45,3 @@ val cores : t -> entity:string -> category -> window:Time.ns -> float
 (** Average number of busy cores over an observation window:
     charged-ns / window. *)
 
-val pp : Format.formatter -> t -> unit

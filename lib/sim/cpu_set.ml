@@ -5,7 +5,6 @@ let create ~cores ~name =
   { set_name = name; busy = Array.make cores 0 }
 
 let cores t = Array.length t.busy
-let name t = t.set_name
 
 let book t ~ready =
   (* Best fit among already-free cores (the latest-freed, first index on
@@ -34,7 +33,3 @@ let start_at t core ~ready = Int.max ready t.busy.(core)
 
 let commit t core ~finish = t.busy.(core) <- finish
 
-let busy_until_min t = Array.fold_left Int.min t.busy.(0) t.busy
-
-let busy_cores t ~now =
-  Array.fold_left (fun acc v -> if v > now then acc + 1 else acc) 0 t.busy

@@ -17,7 +17,6 @@ type t
 
 val create : cores:int -> name:string -> t
 val cores : t -> int
-val name : t -> string
 
 val book : t -> ready:Time.ns -> int
 (** [book t ~ready] picks the core for work ready at [ready]; the work
@@ -29,5 +28,3 @@ val start_at : t -> int -> ready:Time.ns -> Time.ns
 val commit : t -> int -> finish:Time.ns -> unit
 (** Marks the booked core busy until [finish]. *)
 
-val busy_until_min : t -> Time.ns
-val busy_cores : t -> now:Time.ns -> int

@@ -2,6 +2,8 @@ let exponential rng ~mean =
   let u = 1.0 -. Prng.float rng in
   -.mean *. log u
 
+(* Box-Muller, one draw per call and no cached second variate, so stream
+   consumption does not depend on call history. *)
 let normal rng ~mu ~sigma =
   let u1 = 1.0 -. Prng.float rng in
   let u2 = Prng.float rng in
@@ -15,10 +17,6 @@ let lognormal_mean_cv rng ~mean ~cv =
   let sigma2 = log (1.0 +. (cv *. cv)) in
   let mu = log mean -. (sigma2 /. 2.0) in
   lognormal rng ~mu ~sigma:(sqrt sigma2)
-
-let pareto rng ~shape ~scale =
-  let u = 1.0 -. Prng.float rng in
-  scale /. (u ** (1.0 /. shape))
 
 let bounded_pareto rng ~shape ~lo ~hi =
   (* Inverse CDF of the truncated Pareto. *)

@@ -4,8 +4,9 @@
     everything scheduled on it must stay on one domain.  What {e is}
     parallel is the experiment harness: independent cells (one testbed +
     workload each) share no mutable state and can run on separate
-    domains.  This module is the only place the repository spawns
-    domains. *)
+    domains.  The harness spawns its domains here; the only other place
+    the repository spawns domains is {!Sharded.run}, which pumps one
+    engine's shards from several. *)
 
 val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is [List.map f xs] computed by up to [jobs] domains

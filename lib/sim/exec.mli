@@ -33,7 +33,6 @@ val create :
     [charge_as] overrides only the primary target's category. *)
 
 val name : t -> string
-val width : t -> int
 
 val submit : ?charge_as:Cpu_account.category -> t -> cost:Time.ns -> (unit -> unit) -> unit
 (** [submit t ~cost k] enqueues a work item needing [cost] ns of service;
@@ -54,10 +53,3 @@ val busy_until : t -> Time.ns
 val busy_ns : t -> Time.ns
 (** Total service time accumulated since creation (or {!reset_busy}). *)
 
-val backlog : t -> Time.ns
-(** Committed-but-not-elapsed service on the most loaded slot (0 when
-    idle).  A persistently growing backlog means saturation. *)
-
-val reset_busy : t -> unit
-val utilization : t -> window:Time.ns -> float
-(** [busy_ns / window] — may exceed 1.0 for widths > 1. *)

@@ -20,11 +20,6 @@ val create : ?error:float -> ?name:string -> unit -> t
 (** [error] is the relative error bound in (0, 1), default [0.01].
     Raises [Invalid_argument] outside that range. *)
 
-val name : t -> string
-
-val error : t -> float
-(** The relative error bound this sketch guarantees on percentiles. *)
-
 val add : t -> float -> unit
 
 val clear : t -> unit
@@ -50,16 +45,9 @@ val percentile : t -> float -> float
     {!Stats.percentile}, a sketch query cannot raise: fleet aggregation
     reads empty cells). *)
 
-val median : t -> float
-
 val merge_into : into:t -> t -> unit
 (** Adds all of [src]'s mass into [into].  Commutative and associative
     up to bucket contents, so any merge order over a set of sketches
     yields identical percentiles.  Raises [Invalid_argument] when the
     error bounds differ. *)
 
-val merge : ?name:string -> t -> t -> t
-(** Fresh sketch holding both sample sets. *)
-
-val pp_summary : Format.formatter -> t -> unit
-(** One-line [name: n=… mean=… p50=… p90=… p99=… p99.9=…] rendering. *)

@@ -106,8 +106,6 @@ let reset t =
       | M_hist h -> Hdr.clear h)
     t.tbl
 
-let size t = Hashtbl.length t.tbl
-
 let pp_value fmt = function
   | Counter n -> Format.fprintf fmt "%d" n
   | Gauge v -> Format.fprintf fmt "%g" v

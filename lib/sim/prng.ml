@@ -28,8 +28,6 @@ let int t bound =
   let v = Int64.to_int (next_int64 t) land max_int in
   v mod bound
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 let range_float t lo hi = lo +. ((hi -. lo) *. float t)
 
 let shuffle t a =

@@ -76,14 +76,3 @@ let gap_ns t = total_ns t - attributed_ns t
 
 let hops t = List.rev_map (fun e -> e.hop) t.rev_entries
 
-let pp_entry fmt e =
-  Format.fprintf fmt "%-28s enq=%a queue=%a service=%a" e.hop Time.pp
-    e.enqueue_ns Time.pp (queue_ns e) Time.pp (service_ns e)
-
-let pp fmt t =
-  List.iter (fun e -> Format.fprintf fmt "  %a@." pp_entry e) (entries t);
-  Format.fprintf fmt "  %-28s queue=%a service=%a e2e=%a@." "total" Time.pp
-    (List.fold_left (fun a e -> a + queue_ns e) 0 t.rev_entries)
-    Time.pp
-    (List.fold_left (fun a e -> a + service_ns e) 0 t.rev_entries)
-    Time.pp (total_ns t)

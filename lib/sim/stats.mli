@@ -28,7 +28,6 @@ val variance : t -> float
 val stddev : t -> float
 val min : t -> float
 val max : t -> float
-val total : t -> float
 
 val percentile : t -> float -> float
 (** [percentile t p] for [p] in [0,100], by linear interpolation on the

@@ -72,9 +72,6 @@ val recorded : t -> int
 val dropped : t -> int
 (** Events lost to ring wrap-around. *)
 
-val capacity : t -> int
-(** Retained-event bound (the rounded-up ring size). *)
-
 val clear : t -> unit
 (** Empties the ring and releases retained arg strings.  Interned
     cat/name pools are kept (ids remain valid). *)
@@ -82,8 +79,6 @@ val clear : t -> unit
 val by_name : t -> (string * int) list
 (** Retained-event counts aggregated by [(cat, name)], rendered as
     ["cat:name"], sorted by name.  The per-hop summary view. *)
-
-val pp_event : Format.formatter -> event -> unit
 
 val pp_text : ?limit:int -> Format.formatter -> t -> unit
 (** Human-readable dump: one line per event, oldest first; at most

@@ -242,10 +242,3 @@ let push t ~prio value =
 let size t = t.count
 let is_empty t = t.count = 0
 
-let clear t =
-  Array.iter (fun lv -> Array.fill lv 0 slots_per_level []) t.slots;
-  Array.fill t.masks 0 levels 0;
-  Heap.clear t.overflow;
-  t.base <- 0;
-  t.count <- 0;
-  t.cached_min <- -1

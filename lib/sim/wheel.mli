@@ -31,5 +31,3 @@ val peek_prio : 'a t -> int option
 val size : 'a t -> int
 val is_empty : 'a t -> bool
 
-val clear : 'a t -> unit
-(** Drops all entries and resets the wheel to tick 0. *)

@@ -75,6 +75,3 @@ let of_csv s =
             pod_ids })
     !order
 
-let pp_user fmt u =
-  Format.fprintf fmt "user %d: %d pods, %d containers" u.u_id (user_pods u)
-    (user_containers u)

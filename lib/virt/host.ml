@@ -80,7 +80,6 @@ let add_bridge t ~name ~ip ~subnet =
   br
 
 let find_bridge t name = List.assoc_opt name t.bridge_list
-let bridges t = t.bridge_list
 
 let masquerade t ~src_subnet ~nat_ip =
   Nat.masquerade (Stack.nf t.host_ns) (Stack.ct t.host_ns)

@@ -50,12 +50,7 @@ val add_bridge : t -> name:string -> ip:Ipv4.t -> subnet:Ipv4.cidr -> Bridge.t
     (so the host routes the bridged segment) and registers it by name. *)
 
 val find_bridge : t -> string -> Bridge.t option
-val bridges : t -> (string * Bridge.t) list
 
-val bridge_hop : t -> Hop.t
-(** Switching cost on the host softirq context (for extra bridges). *)
-
-val veth_hop : t -> Hop.t
 val tap_hop : t -> Hop.t
 
 val masquerade : t -> src_subnet:Ipv4.cidr -> nat_ip:Ipv4.t -> unit

@@ -1,18 +1,13 @@
 open Nest_net
 
-type t = {
-  nic_id : string;
-  guest_dev : Dev.t;
-  vhost : Nest_sim.Exec.t;
-  mutable plugged : bool;
-}
+type t = { guest_dev : Dev.t; mutable plugged : bool }
 
 let create ~vm ~id ~mac ~queue ~vhost ?(l2 = Dev.Normal) () =
   let host = Vm.host vm in
   let cm = Host.cost_model host in
   let engine = Host.engine host in
   let guest_dev = Dev.create ~name:(Vm.name vm ^ ":" ^ id) ~mac ~l2 () in
-  let t = { nic_id = id; guest_dev; vhost; plugged = true } in
+  let t = { guest_dev; plugged = true } in
   (* The vhost worker is a hop like any other, so virtio crossings feed
      the same provenance/histogram machinery as kernel hops. *)
   let tx_hop =
@@ -54,8 +49,6 @@ let create ~vm ~id ~mac ~queue ~vhost ?(l2 = Dev.Normal) () =
   t
 
 let dev t = t.guest_dev
-let vhost_exec t = t.vhost
-let id t = t.nic_id
 
 let unplug t =
   t.plugged <- false;

@@ -175,18 +175,6 @@ let test_scheduler_policies () =
   Alcotest.(check bool) "nothing fits" true
     (Scheduler.most_requested [ n1; n2 ] ~cpu:99.0 ~mem:1.0 = None)
 
-let test_cni_registry () =
-  Cni.reset_registry ();
-  let p = Cni_bridge.plugin () in
-  Cni.register p;
-  Alcotest.(check bool) "found" true (Cni.find "bridge-nat" <> None);
-  Alcotest.check_raises "duplicate"
-    (Failure "Cni.register: duplicate plugin bridge-nat") (fun () ->
-      Cni.register (Cni_bridge.plugin ()));
-  Alcotest.(check (list string)) "names" [ "bridge-nat" ] (Cni.names ());
-  Cni.reset_registry ();
-  Alcotest.(check bool) "reset" true (Cni.find "bridge-nat" = None)
-
 let test_kube_deploy_pod () =
   let tb = world ~num_vms:2 () in
   let kube =
@@ -369,7 +357,6 @@ let () =
       ( "orchestrator",
         [ Alcotest.test_case "node reservation" `Quick test_node_reservation;
           Alcotest.test_case "scheduler" `Quick test_scheduler_policies;
-          Alcotest.test_case "cni registry" `Quick test_cni_registry;
           Alcotest.test_case "kube deploy" `Quick test_kube_deploy_pod;
           Alcotest.test_case "kube no fit" `Quick test_kube_no_fit;
           Alcotest.test_case "overlay isolation" `Quick
