@@ -112,7 +112,7 @@ let exec_submits = 1_000
 let exec_submit_kernel () =
   let e = Nest_sim.Engine.create () in
   let acct = Nest_sim.Cpu_account.create () in
-  let cpus = Nest_sim.Cpu_set.create ~cores:4 ~name:"vm1" in
+  let cpus = Nest_sim.Cpu_set.create ~cores:4 in
   let x =
     Nest_sim.Exec.create
       ~account:(acct, "vm1", Nest_sim.Cpu_account.Soft)
@@ -495,55 +495,11 @@ let run_fleet_scaling () =
     fs_identical = identical }
 
 (* ------------------------------------------------------------------ *)
-(* Flow-cache identity: the fig13 (Overlay) and fig10 (Hostlo) UDP_RR
-   results must be byte-identical to a mechanisms-off (cache disabled)
-   run — the cache may only move wall-clock, never a result. *)
-
-type fastpath = { fp_fig13_identical : bool; fp_fig10_identical : bool }
-
-let rr_digest (r : Nest_workloads.Netperf.rr_result) =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          ( r.Nest_workloads.Netperf.transactions,
-            Nest_sim.Stats.samples r.Nest_workloads.Netperf.latency )
-          []))
-
-let fastpath_rr ~mode () =
-  let tb, site = Exp_util.deploy_pair_sync ~mode ~port:7000 () in
-  rr_digest
-    (Nest_workloads.Netperf.udp_rr tb
-       (Nest_workloads.App.of_pair site)
-       ~msg_size:1024 ~warmup:(Time.ms 5) ~duration:(Time.ms 60) ())
-
-let run_fastpath () =
-  print_newline ();
-  print_endline "== Flow-cache identity (mechanisms-off) ==";
-  let ov = fastpath_rr ~mode:`Overlay () in
-  let hl = fastpath_rr ~mode:`Hostlo () in
-  Nest_net.Stack.set_default_flow_cache false;
-  let ov', hl' =
-    Fun.protect
-      ~finally:(fun () -> Nest_net.Stack.set_default_flow_cache true)
-      (fun () ->
-        let a = fastpath_rr ~mode:`Overlay () in
-        let b = fastpath_rr ~mode:`Hostlo () in
-        (a, b))
-  in
-  let fig13_id = String.equal ov ov' in
-  let fig10_id = String.equal hl hl' in
-  Printf.printf "%-42s %10s\n" "fig13 identical to mechanisms-off"
-    (if fig13_id then "yes" else "NO — RESULT DRIFT");
-  Printf.printf "%-42s %10s\n" "fig10 identical to mechanisms-off"
-    (if fig10_id then "yes" else "NO — RESULT DRIFT");
-  { fp_fig13_identical = fig13_id; fp_fig10_identical = fig10_id }
-
-(* ------------------------------------------------------------------ *)
 (* Machine-readable output (--json PATH): micro rows, observability
    overhead and fan-out scaling as one BENCH_*.json document. *)
 
 let write_json ~path ~rows ~exec_words ~overhead ~scaling ~shard_scaling
-    ~fleet_scaling ~fastpath =
+    ~fleet_scaling =
   let esc = Nest_sim.Trace.json_escape in
   let b = Buffer.create 4096 in
   let fl v = if Float.is_nan v then "null" else Printf.sprintf "%.3f" v in
@@ -637,14 +593,6 @@ let write_json ~path ~rows ~exec_words ~overhead ~scaling ~shard_scaling
              else 0.0))
          (Nest_sim.Domain_pool.recommended_jobs ())
          s.fs_identical));
-  (match fastpath with
-  | None -> ()
-  | Some f ->
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"overlay_fastpath\": {\"fig13_identical\": %b, \
-          \"fig10_identical\": %b},\n"
-         f.fp_fig13_identical f.fp_fig10_identical));
   Buffer.add_string b
     (Printf.sprintf "  \"host_cores\": %d\n}\n"
        (Nest_sim.Domain_pool.recommended_jobs ()));
@@ -785,7 +733,7 @@ let () =
     | None -> ()
     | Some path ->
       write_json ~path ~rows:[] ~exec_words:None ~overhead ~scaling:None
-        ~shard_scaling:None ~fleet_scaling:None ~fastpath:None);
+        ~shard_scaling:None ~fleet_scaling:None);
     exit 0
   end;
   if not micro_only then begin
@@ -808,7 +756,6 @@ let () =
       exec_words
   | None -> ());
   let overhead = Some (run_overhead ()) in
-  let fastpath = Some (run_fastpath ()) in
   let scaling =
     if jobs > 1 then Some (run_jobs_scaling ~jobs ()) else None
   in
@@ -822,7 +769,7 @@ let () =
   | None -> ()
   | Some path ->
     write_json ~path ~rows ~exec_words:(Some exec_words) ~overhead ~scaling
-      ~shard_scaling ~fleet_scaling ~fastpath);
+      ~shard_scaling ~fleet_scaling);
   let ok = ref true in
   (match !baseline with
   | None -> ()

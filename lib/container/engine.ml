@@ -3,17 +3,10 @@ module Sim_engine = Nest_sim.Engine
 module Time = Nest_sim.Time
 
 type container = {
-  cid : int;
-  c_name : string;
-  c_entity : string;
-  c_image : Image.t;
   c_netns : Stack.ns;
-  c_app_exec : Nest_sim.Exec.t;
   c_ordered_at : Time.ns;
   mutable c_ready_at : Time.ns option;
   mutable c_state : [ `Creating | `Running | `Stopped ];
-  c_cpu_req : float;
-  c_mem_req : float;
 }
 
 type t = {
@@ -23,7 +16,6 @@ type t = {
   mutable d_bridge : (Bridge.t * Ipam.t) option;
   mutable d_containers : container list;
   mutable nat_assignments : (Stack.ns * Ipv4.t) list;
-  mutable next_cid : int;
   mutable image_cache : string list;
 }
 
@@ -33,7 +25,7 @@ let docker0_gw = Ipv4.of_string "172.17.0.1"
 let create vm ~name =
   { d_vm = vm; d_name = name;
     d_rng = Nest_sim.Prng.split (Nest_virt.Host.rng (Nest_virt.Vm.host vm));
-    d_bridge = None; d_containers = []; nat_assignments = []; next_cid = 1;
+    d_bridge = None; d_containers = []; nat_assignments = [];
     image_cache = [] }
 
 let primary_vm_ip t =
@@ -130,20 +122,15 @@ let nat_net_setup t ~netns ~publish k =
 
 let instant_net_setup k = k ()
 
-let run t ~name ~entity ~image ~netns ~net_setup ?(cpu_req = 1.0)
-    ?(mem_req = 1.0) ~on_ready () =
+let run t ~image ~netns ~net_setup ~on_ready () =
   let host = Nest_virt.Vm.host t.d_vm in
   let engine = Nest_virt.Host.engine host in
   let cached = List.mem image.Image.img_name t.image_cache in
   if not cached then t.image_cache <- image.Image.img_name :: t.image_cache;
   let c =
-    { cid = t.next_cid; c_name = name; c_entity = entity; c_image = image;
-      c_netns = netns;
-      c_app_exec = Nest_virt.Vm.new_app_exec t.d_vm ~name:(name ^ ":app") ~entity;
-      c_ordered_at = Sim_engine.now engine; c_ready_at = None;
-      c_state = `Creating; c_cpu_req = cpu_req; c_mem_req = mem_req }
+    { c_netns = netns; c_ordered_at = Sim_engine.now engine;
+      c_ready_at = None; c_state = `Creating }
   in
-  t.next_cid <- t.next_cid + 1;
   t.d_containers <- t.d_containers @ [ c ];
   let phases = Boot_model.sample t.d_rng ~network:`Brfusion in
   let pull = Image.pull_delay_ns image ~cached ~rng:t.d_rng in

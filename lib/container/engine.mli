@@ -36,19 +36,14 @@ val instant_net_setup : (unit -> unit) -> unit
 
 val run :
   t ->
-  name:string ->
-  entity:string ->
   image:Image.t ->
   netns:Stack.ns ->
   net_setup:((unit -> unit) -> unit) ->
-  ?cpu_req:float ->
-  ?mem_req:float ->
   on_ready:(container -> unit) ->
   unit ->
   container
 (** Orders a container: image pull (cached after first use per engine),
-    runtime setup, network setup, application start, then [on_ready].
-    [cpu_req]/[mem_req] are scheduler-facing resource requests. *)
+    runtime setup, network setup, application start, then [on_ready]. *)
 
 val stop : t -> container -> unit
 val containers : t -> container list

@@ -134,11 +134,8 @@ let start_containers t ~tag ~pod ~netns_of ~placement ~resv ~on_ready =
     (fun (cs : Pod.container_spec) ->
       let node, netns = netns_of cs in
       let c =
-        Docker.run (Node.docker node)
-          ~name:(pod.Pod.pod_name ^ "/" ^ cs.Pod.cs_name)
-          ~entity:cs.Pod.cs_name ~image:cs.Pod.image ~netns
-          ~net_setup:Docker.instant_net_setup ~cpu_req:cs.Pod.cpu
-          ~mem_req:cs.Pod.mem
+        Docker.run (Node.docker node) ~image:cs.Pod.image ~netns
+          ~net_setup:Docker.instant_net_setup
           ~on_ready:(fun _ ->
             decr remaining;
             if !remaining = 0 then begin

@@ -9,7 +9,6 @@ let server_per_byte_ns = 0.30
 let transport_delay_ns = 3_000
 
 type t = {
-  fs_name : string;
   host : Nest_virt.Host.t;
   server : Nest_sim.Exec.t;
   tree : (string, string) Hashtbl.t;
@@ -19,7 +18,7 @@ type t = {
 type mount = { m_vm : Nest_virt.Vm.t; fs : t }
 
 let share host ~name =
-  { fs_name = name; host;
+  { host;
     server = Nest_virt.Host.new_vhost_exec host ~name:("9pfs-" ^ name);
     tree = Hashtbl.create 16; op_count = 0 }
 

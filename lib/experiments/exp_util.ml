@@ -10,6 +10,9 @@ let durations ~quick =
   if quick then { warmup = Time.ms 50; measure = Time.ms 250 }
   else { warmup = Time.ms 100; measure = Time.sec 1 }
 
+let golden = 0x9E3779B97F4A7C15L
+let node_seed seed i = Int64.add seed (Int64.mul golden (Int64.of_int (i + 1)))
+
 (* Shard-imbalance table for a conservative sharded run: how much each
    sub-engine actually did, how often its clock stalled on lookahead,
    and how many null messages (clock broadcasts while blocked) it cost
@@ -260,32 +263,6 @@ let header title =
 
 (* --- latency provenance probes -------------------------------------- *)
 
-(* Flow-cache health harvested alongside each probe: the fast-path
-   hit/miss counters and [fc.invalidate.<ns>.full] per namespace the
-   datagram traversed.  A collapsing hit rate with a climbing
-   invalidation count implicates table churn. *)
-type cache_health = {
-  ch_label : string;  (* probe label, e.g. "single:nat" *)
-  ch_ns : string;
-  ch_hits : int;
-  ch_misses : int;
-  ch_full : int;      (* full-flush invalidations *)
-}
-
-(* Probes run sequentially (observability forces --jobs 1). *)
-let cache_rows : cache_health list ref = ref []
-
-let harvest_cache ~label nss =
-  List.iter
-    (fun ns ->
-      let hits, misses = Nest_net.Stack.flow_cache_stats ns in
-      cache_rows :=
-        { ch_label = label; ch_ns = Nest_net.Stack.name ns; ch_hits = hits;
-          ch_misses = misses;
-          ch_full = Nest_net.Stack.flow_cache_invalidations ns }
-        :: !cache_rows)
-    nss
-
 (* One timed UDP datagram per deployment mode, on a dedicated testbed:
    the per-hop latency-attribution comparison the `obs` subcommand
    prints, and the fixture the provenance tests assert against. *)
@@ -299,9 +276,6 @@ let provenance_probe_single ?seed ~mode () =
     ~k:(fun e -> out := Some e)
     ();
   Testbed.run_until tb (Time.sec 3);
-  harvest_cache
-    ~label:("single:" ^ Modes.single_to_string mode)
-    [ tb.Testbed.client_ns; site.Deploy.site_ns ];
   match !out with
   | Some e -> e
   | None ->
@@ -317,9 +291,6 @@ let provenance_probe_pair ?seed ~mode () =
     ~k:(fun e -> out := Some e)
     ();
   Testbed.run_until tb (Time.sec 3);
-  harvest_cache
-    ~label:("pair:" ^ Modes.pair_to_string mode)
-    [ site.Deploy.a_ns; site.Deploy.b_ns ];
   match !out with
   | Some e -> e
   | None ->
@@ -328,9 +299,8 @@ let provenance_probe_pair ?seed ~mode () =
       ^ Modes.pair_to_string mode)
 
 let provenance_probes () =
-  cache_rows := [];
-  (* bind singles first: [@] evaluates right-to-left, and the harvested
-     cache rows should print in the same order as the probe tables *)
+  (* bind singles first: [@] evaluates right-to-left, and the probes
+     should run (and export their traces) in the order they print *)
   let singles =
     List.map
       (fun mode ->
@@ -361,24 +331,6 @@ let print_attribution (label, entries) =
   let s = List.fold_left (fun a e -> a + P.service_ns e) 0 entries in
   Printf.printf "  %-32s %12d %12d %12d  (%d hops)\n" "TOTAL" q s (q + s)
     (List.length entries)
-
-let print_cache_health () =
-  match List.rev !cache_rows with
-  | [] -> ()
-  | rows ->
-    header "flow-cache health (per probe namespace)";
-    Printf.printf "  %-16s %-10s %8s %8s %7s %11s\n" "probe" "ns" "hits"
-      "misses" "hit%" "inval_full";
-    List.iter
-      (fun r ->
-        let tot = r.ch_hits + r.ch_misses in
-        let hitp =
-          if tot = 0 then 0.0
-          else 100.0 *. float_of_int r.ch_hits /. float_of_int tot
-        in
-        Printf.printf "  %-16s %-10s %8d %8d %6.1f%% %11d\n" r.ch_label
-          r.ch_ns r.ch_hits r.ch_misses hitp r.ch_full)
-      rows
 
 let row s = print_endline s
 let kv k v = Printf.printf "  %-42s %s\n" k v

@@ -10,6 +10,11 @@ type durations = {
 val durations : quick:bool -> durations
 (** quick: 50 ms / 250 ms; full: 100 ms / 1 s. *)
 
+val node_seed : int64 -> int -> int64
+(** [node_seed root i] is the root seed of stream [i] of a multi-node
+    scenario (fleet, cluster): [root] plus [i + 1] golden-ratio steps, so
+    a node's streams depend on its index and never on its placement. *)
+
 val print_shard_table : Nest_sim.Sharded.t -> unit
 (** Per-shard progress/imbalance table ({!Nest_sim.Sharded.stats}):
     events processed, cross-shard deliveries, clock advances blocked on
@@ -116,12 +121,6 @@ val provenance_probes :
 
 val print_attribution : string * Nest_sim.Provenance.entry list -> unit
 (** Per-hop queue/service table for one probe result. *)
-
-val print_cache_health : unit -> unit
-(** Flow-cache health table for the namespaces the last
-    {!provenance_probes} sweep traversed: fast-path hits/misses with the
-    hit rate and the [fc.invalidate.<ns>.full] invalidation count.
-    Prints nothing if no probe has run. *)
 
 val header : string -> unit
 (** Prints a boxed section header. *)

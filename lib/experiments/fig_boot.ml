@@ -14,7 +14,7 @@ let boot_one tb ~docker ~mode ~index =
     match mode with
     | `Nat ->
       let netns = Nest_virt.Vm.new_netns vm ~name () in
-      Engine.run docker ~name ~entity:"boot" ~image ~netns
+      Engine.run docker ~image ~netns
         ~net_setup:(fun k -> Engine.nat_net_setup docker ~netns ~publish:[] k)
         ~on_ready:(fun c -> done_ := Some c)
         ()
@@ -27,7 +27,7 @@ let boot_one tb ~docker ~mode ~index =
         | Some a -> a
         | None -> failwith "fig8: no virbr0"
       in
-      Engine.run docker ~name ~entity:"boot" ~image ~netns
+      Engine.run docker ~image ~netns
         ~net_setup:(fun k ->
           Nest_virt.Vmm.hotplug_nic tb.Testbed.vmm ~vm ~bridge:"virbr0"
             ~id:("brf-" ^ name)

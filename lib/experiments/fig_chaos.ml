@@ -64,7 +64,7 @@ let run ?(rates = default_rates) ?(seed = 42L) ?(workload = Chaos.Probe)
         in
         if mine = [] then None
         else begin
-          let merged = Nest_sim.Hdr.create ~name:("fleet." ^ name) () in
+          let merged = Nest_sim.Hdr.create () in
           List.iter
             (fun o ->
               Nest_sim.Hdr.merge_into ~into:merged o.Chaos.o_slo_lat)

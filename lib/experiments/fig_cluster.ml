@@ -14,9 +14,6 @@ module Time = Nest_sim.Time
 module Prng = Nest_sim.Prng
 module Netperf = Nest_workloads.Netperf
 
-let golden = 0x9E3779B97F4A7C15L
-let node_seed seed i = Int64.add seed (Int64.mul golden (Int64.of_int (i + 1)))
-
 let service_port = 5001
 let gw_client_port = 7000   (* bound once per node's host ns: outbound side *)
 let gw_server_port = 7100   (* inbound side, distinct so a node can do both *)
@@ -37,7 +34,7 @@ let build ~nodes ~shards ~seed () =
       Testbed.create
         ~sharded:(sd, i mod shards)
         ~prefix:(Printf.sprintf "n%d:" i)
-        ~rng:(Prng.create (node_seed seed i))
+        ~rng:(Prng.create (Exp_util.node_seed seed i))
         ~num_vms:1 ()
     in
     { n_ix = i; n_tb = tb; n_site = ref None; n_driver = None }
@@ -84,7 +81,9 @@ let wire_ring sd ns ~shards ~seed ?profile () =
         | Some p ->
           let dir d =
             Nest_net.Wire.impair_of_profile p
-              ~rng:(Prng.create (node_seed seed (1000 + (2 * n.n_ix) + d)))
+              ~rng:
+                (Prng.create
+                   (Exp_util.node_seed seed (1000 + (2 * n.n_ix) + d)))
           in
           (p.Nest_net.Netem.p_delay, Some (dir 0), Some (dir 1))
       in

@@ -27,9 +27,6 @@ module Node = Nest_orch.Node
 module Autoscaler = Nest_orch.Autoscaler
 module Netperf = Nest_workloads.Netperf
 
-let golden = 0x9E3779B97F4A7C15L
-let node_seed seed i = Int64.add seed (Int64.mul golden (Int64.of_int (i + 1)))
-
 let service_port = 5001
 let gw_client_port = 7000
 let gw_server_port = 7100
@@ -115,7 +112,7 @@ let build ~p ~shards () =
       Testbed.create
         ~sharded:(sd, i mod shards)
         ~prefix:(Printf.sprintf "n%d:" i)
-        ~rng:(Prng.create (node_seed p.seed i))
+        ~rng:(Prng.create (Exp_util.node_seed p.seed i))
         ~num_vms:(if is_wire_served mode then 1 else 2)
         ()
     in
@@ -242,7 +239,9 @@ let wire_ring sd ns ~shards ~p ~start ~stop =
       let dir d =
         (* One impair per direction even without a profile: the flap
            plan needs the down flag. *)
-        let rng = Prng.create (node_seed p.seed (40000 + (2 * j) + d)) in
+        let rng =
+          Prng.create (Exp_util.node_seed p.seed (40000 + (2 * j) + d))
+        in
         match p.profile with
         | Some pr when p.fault_rate > 0.0 || pr.Netem.p_loss > 0.0
                        || pr.Netem.p_jitter > 0 ->
@@ -260,7 +259,9 @@ let wire_ring sd ns ~shards ~p ~start ~stop =
           match im with
           | None -> ()
           | Some im ->
-            let frng = Prng.create (node_seed p.seed (50000 + (2 * j) + d)) in
+            let frng =
+              Prng.create (Exp_util.node_seed p.seed (50000 + (2 * j) + d))
+            in
             if Prng.float frng < p.fault_rate then begin
               incr flaps;
               let window = stop - start in
@@ -323,14 +324,13 @@ let start_generators ns ~p ~start ~stop =
       in
       n.f_slo <- Some slo;
       let arrival =
-        let rng = Prng.create (node_seed p.seed (20000 + n.f_ix)) in
+        let rng = Prng.create (Exp_util.node_seed p.seed (20000 + n.f_ix)) in
         match p.arrival with
         | `Poisson -> Arrival.poisson ~rng ~rate_per_s:per_node_rate
         | `Constant -> Arrival.constant ~rate_per_s:per_node_rate
       in
       let sizes = Size_dist.Pareto { shape = 1.2; lo = 64; hi = 1400 } in
-      let rng = Prng.create (node_seed p.seed (10000 + n.f_ix)) in
-      let label = Printf.sprintf "n%d:%s" n.f_ix n.f_mode in
+      let rng = Prng.create (Exp_util.node_seed p.seed (10000 + n.f_ix)) in
       (* Client-side admission: the Burn policy protects this node's own
          latency objective — shedding on availability burn would be
          self-defeating (sheds burn availability, which sheds more).
@@ -356,7 +356,7 @@ let start_generators ns ~p ~start ~stop =
       in
       let gen =
         if is_wire_served n.f_mode then
-          Lg.udp ~engine ~label ~arrival ~sizes ~rng ?admission ?burn_source
+          Lg.udp ~engine ~arrival ~sizes ~rng ?admission ?burn_source
             ~timeout ~slo ~gen_id:n.f_ix ~ns:tb.Testbed.client_ns
             ~exec:
               (Testbed.client_app_exec tb
@@ -367,7 +367,7 @@ let start_generators ns ~p ~start ~stop =
           let pair =
             match !(n.f_pair) with Some pr -> pr | None -> assert false
           in
-          Lg.udp ~engine ~label ~arrival ~sizes ~rng ?admission ?burn_source
+          Lg.udp ~engine ~arrival ~sizes ~rng ?admission ?burn_source
             ~timeout ~slo ~gen_id:n.f_ix ~ns:pair.Deploy.a_ns
             ~exec:pair.Deploy.a_exec
             ~target:(fun () -> Some (pair.Deploy.b_addr, pair.Deploy.b_port))
@@ -413,7 +413,7 @@ let arm_churn sd ns ~p ~start ~stop =
   let scale_cpu = if dem_cpu > 0.0 then 1.5 *. cap_cpu /. dem_cpu else 0.0 in
   let scale_mem = if dem_mem > 0.0 then 1.5 *. cap_mem /. dem_mem else 0.0 in
   let ch = { ch_placed = 0; ch_unschedulable = 0; ch_departed = 0 } in
-  let crng = Prng.create (node_seed p.seed 30000) in
+  let crng = Prng.create (Exp_util.node_seed p.seed 30000) in
   let window = stop - start in
   let npods = Array.length demands in
   Array.iteri
@@ -543,7 +543,7 @@ let summarize ?params ?shards ?domains ~quick () =
   let _, ns, ch, all_nodes, flaps =
     run_scenario ?params ?shards ?domains ~quick ()
   in
-  let merged = Hdr.create ~name:"fleet:latency_us" () in
+  let merged = Hdr.create () in
   let off = ref 0 and shed = ref 0 and lost = ref 0 and comp = ref 0 in
   let avail = ref 0.0 and pods = ref 0 and scale = ref 0 in
   Array.iter
@@ -655,7 +655,7 @@ let run ?(params = default_params) ?shards ?(domains = 1) ~quick () =
       let members =
         List.filter (fun n -> String.equal n.f_serves mode) (Array.to_list ns)
       in
-      let merged = Hdr.create ~name:(mode ^ ":latency_us") () in
+      let merged = Hdr.create () in
       let c_off = ref 0 and c_shed = ref 0 and c_lost = ref 0 in
       let c_done = ref 0 in
       List.iter
@@ -797,7 +797,7 @@ let frontier ?(params = default_params) ?shards ?(domains = 1) ~quick () =
               in
               let off = ref 0 and shed = ref 0 and don = ref 0 in
               let pods = ref 0 in
-              let merged = Hdr.create ~name:"frontier" () in
+              let merged = Hdr.create () in
               List.iter
                 (fun n ->
                   let g =

@@ -88,7 +88,7 @@ let rec schedule_next t =
           arrive t;
           schedule_next t)
 
-let create ~engine ?(label = "loadgen") ~arrival ~sizes ~rng
+let create ~engine ~arrival ~sizes ~rng
     ?(max_outstanding = 64) ?admission ?burn_source ?(timeout = Time.ms 100)
     ?slo ~dispatch ~start ~stop () =
   if max_outstanding <= 0 then
@@ -109,7 +109,7 @@ let create ~engine ?(label = "loadgen") ~arrival ~sizes ~rng
       g_sizes = sizes; g_rng = rng; g_admission = admission;
       g_timeout = timeout; g_slo = slo; g_dispatch = dispatch;
       g_start = start; g_stop = stop; g_intended = Hashtbl.create 128;
-      g_latency = Nest_sim.Hdr.create ~name:(label ^ ":latency_us") ();
+      g_latency = Nest_sim.Hdr.create ();
       g_offered = 0; g_admitted = 0; g_shed = 0; g_lost = 0;
       g_completed = 0; g_outstanding = 0; g_seq = 0; g_completions = [] }
   in
@@ -146,7 +146,7 @@ type Nest_net.Payload.app_msg += Lg_req of { gen : int; seq : int }
 let app_send_cost_ns = 180
 let app_recv_cost_ns = 250
 
-let udp ~engine ?label ~arrival ~sizes ~rng ?max_outstanding ?admission
+let udp ~engine ~arrival ~sizes ~rng ?max_outstanding ?admission
     ?burn_source ?timeout ?slo ~gen_id ~ns ~exec ~target ~start ~stop () =
   let sock = ref None in
   let dispatch ~seq ~size =
@@ -158,7 +158,7 @@ let udp ~engine ?label ~arrival ~sizes ~rng ?max_outstanding ?admission
     | _ -> ()  (* unreachable service: the admission timeout counts it *)
   in
   let t =
-    create ~engine ?label ~arrival ~sizes ~rng ?max_outstanding ?admission
+    create ~engine ~arrival ~sizes ~rng ?max_outstanding ?admission
       ?burn_source ?timeout ?slo ~dispatch ~start ~stop ()
   in
   let sk =

@@ -41,7 +41,6 @@ type t
 
 val create :
   engine:Nest_sim.Engine.t ->
-  ?label:string ->
   arrival:Arrival.t ->
   sizes:Size_dist.t ->
   rng:Nest_sim.Prng.t ->
@@ -106,7 +105,6 @@ type Nest_net.Payload.app_msg += Lg_req of { gen : int; seq : int }
 
 val udp :
   engine:Nest_sim.Engine.t ->
-  ?label:string ->
   arrival:Arrival.t ->
   sizes:Size_dist.t ->
   rng:Nest_sim.Prng.t ->

@@ -51,8 +51,3 @@ val admit : t -> Packet.t -> bool
     caller must then drop the packet (Linux "nf_conntrack: table full,
     dropping packet"). *)
 
-val generation : t -> int
-(** Monotonic counter bumped whenever a new binding pair is created.
-    Lets callers (the stack's flow cache) detect staleness with one
-    comparison. *)
-

@@ -16,7 +16,6 @@ type rule = {
 type t = {
   chains : rule list array;
   mutable total : int;
-  mutable gen : int;
 }
 
 let hook_index = function
@@ -26,13 +25,12 @@ let hook_index = function
   | Output -> 3
   | Postrouting -> 4
 
-let create () = { chains = Array.make 5 []; total = 0; gen = 0 }
+let create () = { chains = Array.make 5 []; total = 0 }
 
 let chain t hook = t.chains.(hook_index hook)
 
 let append t hook rule =
   let i = hook_index hook in
-  t.gen <- t.gen + 1;
   t.chains.(i) <- t.chains.(i) @ [ rule ];
   t.total <- t.total + 1
 
@@ -40,7 +38,6 @@ let remove t hook name =
   let i = hook_index hook in
   let before = t.chains.(i) in
   let after = List.filter (fun r -> r.rule_name <> name) before in
-  t.gen <- t.gen + 1;
   t.chains.(i) <- after;
   t.total <- t.total - (List.length before - List.length after)
 
@@ -59,5 +56,4 @@ let run t hook ctx pkt =
 
 let rule_count t hook = List.length (chain t hook)
 let total_rules t = t.total
-let generation t = t.gen
 let no_ctx = { in_dev = None; out_dev = None }

@@ -41,8 +41,4 @@ val rule_count : t -> hook -> int
 val total_rules : t -> int
 (** Sum of {!rule_count} over all five hooks, read in O(1). *)
 
-val generation : t -> int
-(** Monotonic counter bumped on every [append]/[remove]; lets callers
-    (the stack's flow cache) detect staleness with one comparison. *)
-
 val no_ctx : ctx

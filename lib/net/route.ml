@@ -5,12 +5,11 @@ type entry = {
   src : Ipv4.t option;
 }
 
-type t = { mutable routes : entry list; mutable gen : int }
+type t = { mutable routes : entry list }
 
-let create () = { routes = []; gen = 0 }
+let create () = { routes = [] }
 
 let add t ~dst ~dev ?gateway ?src () =
-  t.gen <- t.gen + 1;
   t.routes <- { dst; gateway; dev; src } :: t.routes
 
 let add_default t ~gateway ~dev ?src () =
@@ -32,7 +31,4 @@ let lookup t ip =
 let next_hop e ip = match e.gateway with Some gw -> gw | None -> ip
 
 let remove_dev t dev =
-  t.gen <- t.gen + 1;
   t.routes <- List.filter (fun e -> e.dev != dev) t.routes
-
-let generation t = t.gen

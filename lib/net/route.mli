@@ -23,7 +23,3 @@ val next_hop : entry -> Ipv4.t -> Ipv4.t
 (** Gateway if set, otherwise the destination itself (on-link). *)
 
 val remove_dev : t -> Dev.t -> unit
-
-val generation : t -> int
-(** Monotonic counter bumped on every table mutation; lets callers
-    (the stack's flow cache) detect staleness with one comparison. *)

@@ -92,8 +92,7 @@ val arp_cache : ns -> (Ipv4.t * Mac.t) list
 
 val arp_flush : ?ip:Ipv4.t -> ns -> unit
 (** Expires one neighbour entry ([ip]) or the whole ARP cache, as a
-    neighbour-table timeout would; invalidates dependent flow-cache
-    verdicts. *)
+    neighbour-table timeout would. *)
 
 val garp : ns -> Dev.t -> Ipv4.t -> unit
 (** Gratuitous ARP: broadcast announce of [ip] at [dev]'s MAC (as
@@ -101,56 +100,6 @@ val garp : ns -> Dev.t -> Ipv4.t -> unit
     entries segment-wide when an address is reused with a new MAC —
     e.g. an IPAM lease freed by crash-time GC and re-allocated to a
     replacement pod. *)
-
-(** {2 Flow cache}
-
-    ONCache-style per-namespace memoization of the complete forwarding
-    verdict — egress device, next hop, resolved MAC, netfilter no-op —
-    keyed by flow tuple (plus ingress device on the input path).
-    Verdicts are stamped with the sum of the route/netfilter/conntrack
-    generation counters plus a namespace-local one bumped on
-    address/device/forwarding-flag mutation, so any table change
-    atomically invalidates every dependent verdict.  Summing is sound
-    because each component is monotonic (asserted in debug builds): the
-    sum can only repeat a value if every component is unchanged.  A
-    saturation guard disables the cache outright should the sum ever
-    approach [max_int].
-
-    A neighbour MAC move (or ARP expiry) counts as a table change and
-    invalidates every verdict; re-learning an unchanged MAC invalidates
-    nothing.  Reflector (Hostlo) egress to the pod's own localhost is
-    not cached: its local-deliver-vs-reflect decision depends on live
-    socket state and is taken per packet.
-
-    Per-packet work (conntrack translation, TTL, hop costing, delivery
-    counters) still runs on cached packets: simulated time and results
-    are identical with the cache on or off.  The cache assumes
-    netfilter rules are flow-stable — a rule's match/verdict may depend
-    on the flow tuple and devices but not on per-packet payload — which
-    holds for every rule this repository installs (and for iptables NAT
-    generally). *)
-
-val set_flow_cache : ns -> bool -> unit
-(** Default on; disabling also empties both cache tables. *)
-
-val flow_cache_enabled : ns -> bool
-
-val set_default_flow_cache : bool -> unit
-(** Process-wide default applied to namespaces created afterwards —
-    lets a harness run a whole deployment mechanisms-off without
-    plumbing a flag through every construction site.  Set it before
-    building the world; existing namespaces are unaffected. *)
-
-val flow_cache_stats : ns -> int * int
-(** [(hits, misses)] of the fast path since namespace creation (also
-    exported as [ns.<name>.flow_cache_hits]/[..._misses] gauges). *)
-
-val flow_cache_invalidations : ns -> int
-(** Whole-cache invalidations (address/device/forwarding-flag mutations,
-    neighbour MAC moves, ARP expiry), also exported as the
-    [fc.invalidate.<name>.full] gauge.  Route, netfilter and conntrack
-    changes invalidate through their own generations and are not
-    counted here. *)
 
 val set_observer : ns -> (Packet.t -> unit) option -> unit
 (** Debug tap invoked for every packet delivered to a local socket in

@@ -40,11 +40,8 @@ let deploy_pod t pod ?cni ?node ~on_ready () =
       List.iter
         (fun (cs : Pod.container_spec) ->
           let c =
-            Nest_container.Engine.run (Node.docker node)
-              ~name:(pod.Pod.pod_name ^ "/" ^ cs.Pod.cs_name)
-              ~entity:cs.Pod.cs_name ~image:cs.Pod.image ~netns:pod_ns
-              ~net_setup:Nest_container.Engine.instant_net_setup
-              ~cpu_req:cs.Pod.cpu ~mem_req:cs.Pod.mem
+            Nest_container.Engine.run (Node.docker node) ~image:cs.Pod.image
+              ~netns:pod_ns ~net_setup:Nest_container.Engine.instant_net_setup
               ~on_ready:(fun _ ->
                 decr remaining;
                 if !remaining = 0 then begin

@@ -1,8 +1,8 @@
-type t = { set_name : string; busy : Time.ns array }
+type t = { busy : Time.ns array }
 
-let create ~cores ~name =
+let create ~cores =
   if cores <= 0 then invalid_arg "Cpu_set.create: cores must be > 0";
-  { set_name = name; busy = Array.make cores 0 }
+  { busy = Array.make cores 0 }
 
 let cores t = Array.length t.busy
 

@@ -15,7 +15,7 @@
 
 type t
 
-val create : cores:int -> name:string -> t
+val create : cores:int -> t
 val cores : t -> int
 
 val book : t -> ready:Time.ns -> int

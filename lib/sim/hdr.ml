@@ -13,7 +13,6 @@
    [--jobs] cells. *)
 
 type t = {
-  hname : string;
   alpha : float;
   gamma : float;
   ln_gamma : float;
@@ -29,14 +28,13 @@ type t = {
   mutable mx : float;
 }
 
-let create ?(error = 0.01) ?(name = "") () =
+let create ?(error = 0.01) () =
   if not (error > 0.0 && error < 1.0) then
     invalid_arg "Hdr.create: error must be in (0, 1)";
   let gamma = (1.0 +. error) /. (1.0 -. error) in
   let ln_gamma = log gamma in
   let idx_of v = int_of_float (Float.ceil (log v /. ln_gamma)) in
   {
-    hname = name;
     alpha = error;
     gamma;
     ln_gamma;

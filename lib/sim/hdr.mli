@@ -16,14 +16,14 @@
 
 type t
 
-val create : ?error:float -> ?name:string -> unit -> t
+val create : ?error:float -> unit -> t
 (** [error] is the relative error bound in (0, 1), default [0.01].
     Raises [Invalid_argument] outside that range. *)
 
 val add : t -> float -> unit
 
 val clear : t -> unit
-(** Empties the sketch; keeps its name, error bound, and bucket storage. *)
+(** Empties the sketch; keeps its error bound and bucket storage. *)
 
 val count : t -> int
 val total : t -> float

@@ -47,7 +47,7 @@ let histogram t name =
   | Some (M_hist h) -> h
   | Some m -> wrong_flavour name ~want:"histogram" m
   | None ->
-    let h = Hdr.create ~name () in
+    let h = Hdr.create () in
     Hashtbl.add t.tbl name (M_hist h);
     h
 

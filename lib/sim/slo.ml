@@ -152,7 +152,7 @@ let create ?(error = 0.01) ?start ~specs ~stop engine =
                  windows = 0; violations = 0; worst_burn = 0.0;
                  last_burn = 0.0 })
              specs);
-      lat = Hdr.create ~error ~name:"slo.latency_us" ();
+      lat = Hdr.create ~error ();
       stop_at = stop;
     }
   in

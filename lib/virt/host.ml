@@ -21,7 +21,7 @@ type t = {
 
 let create engine acct ?(cpus = 12) ?(cost_model = Cost_model.default)
     ?(entity = "host") ?rng ~name () =
-  let cpuset = Nest_sim.Cpu_set.create ~cores:cpus ~name in
+  let cpuset = Nest_sim.Cpu_set.create ~cores:cpus in
   let sys_exec =
     Exec.create ~account:(acct, entity, Cpu_account.Sys) ~width:cpus
       ~cpus:cpuset engine ~name:(name ^ ":sys")

@@ -26,7 +26,7 @@ let create host ~name ~vcpus ~mem_mb =
   let engine = Host.engine host in
   let acct = Host.account host in
   let guest_charge = [ (acct, Host.entity host, Cpu_account.Guest) ] in
-  let vm_cpuset = Nest_sim.Cpu_set.create ~cores:vcpus ~name in
+  let vm_cpuset = Nest_sim.Cpu_set.create ~cores:vcpus in
   let sys =
     Exec.create ~account:(acct, name, Cpu_account.Sys) ~also:guest_charge
       ~width:vcpus ~cpus:vm_cpuset engine ~name:(name ^ ":sys")

@@ -183,11 +183,11 @@ let drive tb ~cl_ns ~cl_new_exec ~target ?(threads = 2) ?(conns = 4)
      strikes, the parked wait, the reconnect handshake — lands in the
      first post-resume send's skew rather than vanishing from the
      record the way it does from the completion latencies. *)
-  let skew = Nest_sim.Hdr.create ~name:"mc:skew_us" () in
+  let skew = Nest_sim.Hdr.create () in
   (* Corrected ledger: measured latency plus the op's own send skew —
      wrk2's corrected percentile, the honest number when skew flags
      coordinated omission. *)
-  let corrected = Nest_sim.Hdr.create ~name:"mc:corrected_us" () in
+  let corrected = Nest_sim.Hdr.create () in
   let suspended = ref [] in
   let suspend () = suspended := Engine.now engine :: !suspended in
   let next_id = ref 0 in

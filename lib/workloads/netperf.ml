@@ -214,12 +214,12 @@ let udp_rr_driver tb ~cl_ns ~cl_exec ~target ~msg_size
      never made).  Skew = actual - intended; a closed loop that wedges
      for a second shows up here even though its recorded RTTs stay
      flat. *)
-  let skew = Nest_sim.Hdr.create ~name:"rr:skew_us" () in
+  let skew = Nest_sim.Hdr.create () in
   (* Corrected ledger: per completion, measured RTT plus that op's own
      send skew — wrk2's corrected percentile.  [cur_skew] carries the
      in-flight op's skew from send to completion (the loop is
      synchronous, so there is exactly one). *)
-  let corrected = Nest_sim.Hdr.create ~name:"rr:corrected_us" () in
+  let corrected = Nest_sim.Hdr.create () in
   let cur_skew = ref 0.0 in
   let intended = ref start in
   let last_send = ref start in

@@ -28,7 +28,7 @@ let test_burn_books () =
   let engine = Engine.create () in
   let start = Time.ms 10 and stop = Time.ms 510 in
   let g =
-    Loadgen.create ~engine ~label:"burn-blackhole"
+    Loadgen.create ~engine
       ~arrival:(Arrival.constant ~rate_per_s:1000.0)
       ~sizes:(Size_dist.Fixed 64) ~rng:(Prng.create 1L)
       ~admission:

@@ -66,7 +66,7 @@ let test_docker_lifecycle_and_boot_duration () =
   let netns = Nest_virt.Vm.new_netns vm ~name:"c1" () in
   let ready = ref None in
   let c =
-    Docker.run docker ~name:"c1" ~entity:"app1"
+    Docker.run docker
       ~image:(Image.make ~name:"alpine" ~size_mb:8 ())
       ~netns
       ~net_setup:(fun k -> Docker.nat_net_setup docker ~netns ~publish:[] k)
@@ -226,7 +226,7 @@ let test_nat_ip_released_on_stop () =
     let netns = Nest_virt.Vm.new_netns vm ~name:(Printf.sprintf "c%d" i) () in
     let ready = ref None in
     let c =
-      Docker.run docker ~name:(Printf.sprintf "c%d" i) ~entity:"app"
+      Docker.run docker
         ~image:(Image.make ~name:"alpine" ~size_mb:8 ())
         ~netns
         ~net_setup:(fun k -> Docker.nat_net_setup docker ~netns ~publish:[] k)

@@ -99,7 +99,7 @@ let test_shed_and_lost () =
   let engine = Engine.create () in
   let start = Time.ms 10 and stop = Time.ms 110 in
   let g =
-    Loadgen.create ~engine ~label:"blackhole"
+    Loadgen.create ~engine
       ~arrival:(Arrival.constant ~rate_per_s:1000.0)
       ~sizes:(Size_dist.Fixed 64) ~rng:(Prng.create 1L) ~max_outstanding:4
       ~timeout:(Time.ms 20)

@@ -121,7 +121,7 @@ let test_cpuset_work_conservation =
     QCheck.(pair (int_range 1 4) (list_of_size (Gen.int_range 1 30) (int_range 1 1000)))
     (fun (cores, costs) ->
       let e = Engine.create () in
-      let set = Nest_sim.Cpu_set.create ~cores ~name:"m" in
+      let set = Nest_sim.Cpu_set.create ~cores in
       let finish = ref 0 in
       List.iteri
         (fun i cost ->

@@ -450,7 +450,7 @@ let test_exec_accounting () =
 
 let test_cpuset_caps_parallelism () =
   let e = Engine.create () in
-  let set = Cpu_set.create ~cores:2 ~name:"vm" in
+  let set = Cpu_set.create ~cores:2 in
   (* Three independent width-1 contexts on a 2-core machine. *)
   let xs = List.init 3 (fun i -> Exec.create ~cpus:set e ~name:(string_of_int i)) in
   let done_at = ref [] in
@@ -466,7 +466,7 @@ let test_cpuset_caps_parallelism () =
    in index order, then book work ready at [ready]. *)
 let test_cpuset_book_contract () =
   let pick busy ~ready =
-    let set = Cpu_set.create ~cores:(List.length busy) ~name:"c" in
+    let set = Cpu_set.create ~cores:(List.length busy) in
     List.iteri (fun core finish -> Cpu_set.commit set core ~finish) busy;
     Cpu_set.book set ~ready
   in
@@ -487,7 +487,7 @@ let test_cpuset_book_contract () =
 
 let test_cpuset_affinity_no_false_contention () =
   let e = Engine.create () in
-  let set = Cpu_set.create ~cores:2 ~name:"m" in
+  let set = Cpu_set.create ~cores:2 in
   let busy = Exec.create ~cpus:set e ~name:"busy" in
   (* Saturate one context with queued work... *)
   for _ = 1 to 10 do

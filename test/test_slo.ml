@@ -238,7 +238,7 @@ let test_slo_no_counter_when_compliant () =
    sequential run — this is the data-structure half of the chaos --check
    guarantee. *)
 let cell i =
-  let h = Hdr.create ~name:(Printf.sprintf "cell%d" i) () in
+  let h = Hdr.create () in
   List.iter (Hdr.add h) (samples i 2000);
   let tr = Trace.create ~capacity:256 () in
   for j = 0 to 99 do

@@ -1,5 +1,6 @@
 (* Tests for the per-namespace IP stack: ARP, local delivery, forwarding,
-   sockets, and TCP edge behaviour. *)
+   sockets, TCP edge behaviour, routing, table churn under a running
+   flow, and Hostlo reflector egress. *)
 
 open Nest_net
 module Engine = Nest_sim.Engine
@@ -230,6 +231,189 @@ let test_ping_rtt_accounts_hops () =
      costs; must be well under a millisecond with the cheap model. *)
   Alcotest.(check bool) "cheap-model rtt < 5us" true (!rtt < 5_000)
 
+(* ------------------------------------------------------------------ *)
+(* Route.lookup *)
+
+let test_route_longest_prefix () =
+  let e = Engine.create () in
+  let a = Stack.create e ~name:"r" ~costs:(cheap_costs e) () in
+  let hop = Hop.free e in
+  let d1, _ =
+    Veth.pair ~a_name:"d1" ~a_mac:(Mac.of_int 1) ~b_name:"x1"
+      ~b_mac:(Mac.of_int 2) ~ab_hop:hop ~ba_hop:hop ()
+  in
+  let d2, _ =
+    Veth.pair ~a_name:"d2" ~a_mac:(Mac.of_int 3) ~b_name:"x2"
+      ~b_mac:(Mac.of_int 4) ~ab_hop:hop ~ba_hop:hop ()
+  in
+  let rt = Stack.routes a in
+  Route.add rt ~dst:(cidr "10.0.0.0/8") ~dev:d1 ();
+  Route.add rt ~dst:(cidr "10.1.0.0/16") ~dev:d2 ();
+  Route.add rt ~dst:(cidr "10.1.2.0/24") ~dev:d1 ();
+  let dev_of addr =
+    match Route.lookup rt (ip addr) with
+    | Some en -> en.Route.dev.Dev.name
+    | None -> "none"
+  in
+  Alcotest.(check string) "/24 beats /16 and /8" "d1" (dev_of "10.1.2.3");
+  Alcotest.(check string) "/16 beats /8" "d2" (dev_of "10.1.9.9");
+  Alcotest.(check string) "/8 catches the rest" "d1" (dev_of "10.200.0.1");
+  Alcotest.(check string) "no match" "none" (dev_of "172.16.0.1")
+
+let test_route_most_recent_wins () =
+  let e = Engine.create () in
+  let a = Stack.create e ~name:"r" ~costs:(cheap_costs e) () in
+  let hop = Hop.free e in
+  let d1, _ =
+    Veth.pair ~a_name:"d1" ~a_mac:(Mac.of_int 1) ~b_name:"x1"
+      ~b_mac:(Mac.of_int 2) ~ab_hop:hop ~ba_hop:hop ()
+  in
+  let d2, _ =
+    Veth.pair ~a_name:"d2" ~a_mac:(Mac.of_int 3) ~b_name:"x2"
+      ~b_mac:(Mac.of_int 4) ~ab_hop:hop ~ba_hop:hop ()
+  in
+  let rt = Stack.routes a in
+  Route.add rt ~dst:(cidr "10.0.0.0/8") ~dev:d1 ();
+  Route.add rt ~dst:(cidr "10.0.0.0/8") ~dev:d2 ();
+  (match Route.lookup rt (ip "10.1.1.1") with
+  | Some en -> Alcotest.(check string) "most recent of equal prefixes" "d2"
+                 en.Route.dev.Dev.name
+  | None -> Alcotest.fail "expected a route");
+  Route.remove_dev rt d2;
+  match Route.lookup rt (ip "10.1.1.1") with
+  | Some en ->
+    Alcotest.(check string) "older entry resurfaces after remove_dev" "d1"
+      en.Route.dev.Dev.name
+  | None -> Alcotest.fail "expected the surviving route"
+
+(* ------------------------------------------------------------------ *)
+(* Table churn under a running flow: every packet sees the tables as
+   they are when it is sent. *)
+
+let send_one c dst =
+  Stack.Udp.sendto c ~dst ~dst_port:53 (Payload.raw 32)
+
+(* A flow of three datagrams a -> b, delivered, with ARP resolved. *)
+let running_flow () =
+  let e, a, b, da, db = two_ns () in
+  let _s = Stack.Udp.bind b ~port:53 (fun _ ~src:_ _ -> ()) in
+  let c = Stack.Udp.bind a ~port:0 (fun _ ~src:_ _ -> ()) in
+  for _ = 1 to 3 do
+    send_one c (ip "192.168.1.2");
+    Engine.run e
+  done;
+  Alcotest.(check int) "flow running" 3 (Stack.counters b).Stack.delivered;
+  (e, a, b, da, db, c)
+
+let test_detach_mid_flow () =
+  let e, a, b, da, _, c = running_flow () in
+  let delivered0 = (Stack.counters b).Stack.delivered in
+  Stack.detach a da;
+  send_one c (ip "192.168.1.2");
+  Engine.run e;
+  Alcotest.(check int) "nothing leaves a detached device"
+    delivered0 (Stack.counters b).Stack.delivered;
+  Alcotest.(check int) "counted as unroutable" 1
+    (Stack.counters a).Stack.dropped_no_route
+
+let test_netfilter_rule_mid_flow () =
+  let e, a, b, _, _, c = running_flow () in
+  Nat.drop_from (Stack.nf a) ~name:"deny" ~hook:Netfilter.Output
+    ~src_subnet:(cidr "192.168.1.0/24");
+  let delivered0 = (Stack.counters b).Stack.delivered in
+  send_one c (ip "192.168.1.2");
+  Engine.run e;
+  Alcotest.(check int) "new rule drops the next packet"
+    delivered0 (Stack.counters b).Stack.delivered;
+  Alcotest.(check int) "drop counted" 1
+    (Stack.counters a).Stack.dropped_filtered
+
+let test_arp_flush_mid_flow () =
+  let e, a, b, _, _, c = running_flow () in
+  Stack.arp_flush a;
+  Alcotest.(check int) "neighbour table empty" 0
+    (List.length (Stack.arp_cache a));
+  send_one c (ip "192.168.1.2");
+  Engine.run e;
+  Alcotest.(check bool) "re-resolved" true
+    (List.mem_assoc (ip "192.168.1.2") (Stack.arp_cache a));
+  Alcotest.(check int) "still delivered after re-ARP" 4
+    (Stack.counters b).Stack.delivered
+
+let test_mac_move_mid_flow () =
+  let e, _, b, _, db, c = running_flow () in
+  (* The peer NIC is replaced: same address, new MAC, announced by a
+     burst of gratuitous ARPs. *)
+  db.Dev.mac <- Mac.of_int 0xbb;
+  for _ = 1 to 5 do
+    Stack.garp b db (ip "192.168.1.2")
+  done;
+  Engine.run e;
+  let delivered0 = (Stack.counters b).Stack.delivered in
+  send_one c (ip "192.168.1.2");
+  Engine.run e;
+  Alcotest.(check int) "delivered at the new MAC" (delivered0 + 1)
+    (Stack.counters b).Stack.delivered
+
+(* ------------------------------------------------------------------ *)
+(* Reflector (Hostlo) egress: the local-deliver-vs-reflect decision
+   follows live socket state. *)
+
+(* Two pod namespaces multiplexed on one Hostlo loopback tap, wired as
+   the VMM does but without the VM layer: each endpoint shares the tap's
+   MAC. *)
+let reflector_world () =
+  let e = Engine.create () in
+  let tap =
+    Tap.create e ~name:"hlo" ~mode:Tap.Loopback ~hop:(Hop.free e)
+      ~mac:(Mac.of_int 0x42) ()
+  in
+  let mk name =
+    let ns =
+      Stack.create e ~name ~costs:(cheap_costs e) ~with_loopback:false ()
+    in
+    let q = Tap.add_queue tap ~owner:name in
+    let dev =
+      Dev.create ~name:(name ^ ":hlo0") ~mac:(Tap.mac tap) ~l2:Dev.Reflector ()
+    in
+    Dev.set_tx dev (fun f -> Tap.queue_write q f);
+    Tap.queue_set_backend q (fun f -> Dev.deliver dev f);
+    Stack.attach ns dev;
+    Stack.add_addr ns dev (ip "127.0.0.1") (cidr "127.0.0.0/8");
+    ns
+  in
+  let a = mk "pa" in
+  let b = mk "pb" in
+  (e, a, b)
+
+let test_reflector_socket_transition () =
+  let e, a, b = reflector_world () in
+  let b_got = ref 0 and a_got = ref 0 in
+  let _sb = Stack.Udp.bind b ~port:53 (fun _ ~src:_ _ -> incr b_got) in
+  let c = Stack.Udp.bind a ~port:0 (fun _ ~src:_ _ -> ()) in
+  for _ = 1 to 3 do
+    send_one c (ip "127.0.0.1")
+  done;
+  Engine.run e;
+  Alcotest.(check int) "reflected to the peer while a has no server" 3 !b_got;
+  (* A server appears in the sender's own fraction: localhost is local
+     again. *)
+  let sa = Stack.Udp.bind a ~port:53 (fun _ ~src:_ _ -> incr a_got) in
+  for _ = 1 to 3 do
+    send_one c (ip "127.0.0.1")
+  done;
+  Engine.run e;
+  Alcotest.(check int) "local server captures localhost" 3 !a_got;
+  Alcotest.(check int) "peer no longer sees the flow" 3 !b_got;
+  (* Server closes: back to reflection. *)
+  Stack.Udp.close sa;
+  for _ = 1 to 3 do
+    send_one c (ip "127.0.0.1")
+  done;
+  Engine.run e;
+  Alcotest.(check int) "reflection resumes after close" 6 !b_got;
+  Alcotest.(check int) "local server is gone" 3 !a_got
+
 let () =
   Alcotest.run "stack"
     [ ( "ip",
@@ -247,4 +431,20 @@ let () =
           Alcotest.test_case "retransmit outage" `Quick
             test_tcp_retransmit_recovers_from_outage;
           Alcotest.test_case "close sequence" `Quick test_tcp_close_sequence;
-          Alcotest.test_case "endpoints" `Quick test_tcp_endpoints ] ) ]
+          Alcotest.test_case "endpoints" `Quick test_tcp_endpoints ] );
+      ( "route",
+        [ Alcotest.test_case "longest prefix" `Quick test_route_longest_prefix;
+          Alcotest.test_case "most recent wins" `Quick
+            test_route_most_recent_wins ] );
+      ( "churn",
+        [ Alcotest.test_case "detach drops unroutable" `Quick
+            test_detach_mid_flow;
+          Alcotest.test_case "netfilter rule mid-flow" `Quick
+            test_netfilter_rule_mid_flow;
+          Alcotest.test_case "arp flush re-resolves" `Quick
+            test_arp_flush_mid_flow;
+          Alcotest.test_case "mac move delivers" `Quick
+            test_mac_move_mid_flow ] );
+      ( "reflector",
+        [ Alcotest.test_case "socket transition" `Quick
+            test_reflector_socket_transition ] ) ]

@@ -152,7 +152,7 @@ let test_no_remotes_drops_silently () =
 
 (* ------------------------------------------------------------------ *)
 (* Encapsulation under churn: FDB/flood changes and underlay rules apply
-   to every packet, and the flow cache leaves results unchanged. *)
+   to every packet. *)
 
 let test_remove_remote_redirects_flood () =
   let e, nodes = world () in
@@ -213,12 +213,10 @@ let test_underlay_rule_not_bypassed () =
   Dev.transmit (Vxlan.dev v1)
     (overlay_frame ~src:(Mac.of_int 0xaa) ~dst:(Mac.of_int 0xbb));
   Engine.run e;
-  Alcotest.(check int) "new underlay rule drops despite warm encap" 3 !got
+  Alcotest.(check int) "new underlay rule drops the next datagram" 3 !got
 
-let run_overlay_exchange ~cache () =
+let test_flood_pin_unpin () =
   let e, nodes = world () in
-  if not cache then
-    List.iter (fun (ns, _) -> Stack.set_flow_cache ns false) nodes;
   let (ns1, a1) = List.nth nodes 0
   and (_, a2) = List.nth nodes 1
   and (_, a3) = List.nth nodes 2 in
@@ -226,43 +224,34 @@ let run_overlay_exchange ~cache () =
   Vxlan.add_remote v1 a2;
   Vxlan.add_remote v1 a3;
   let decaps = Array.make 3 0 in
-  let vteps =
-    List.mapi
-      (fun i (ns, addr) ->
-        if i > 0 then begin
-          let v = vtep e ns addr in
-          Dev.set_rx (Vxlan.dev v) (fun _ -> decaps.(i) <- decaps.(i) + 1);
-          Some v
-        end
-        else None)
-      nodes
+  List.iteri
+    (fun i (ns, addr) ->
+      if i > 0 then begin
+        let v = vtep e ns addr in
+        Dev.set_rx (Vxlan.dev v) (fun _ -> decaps.(i) <- decaps.(i) + 1)
+      end)
+    nodes;
+  let send3 () =
+    for _ = 1 to 3 do
+      Dev.transmit (Vxlan.dev v1)
+        (overlay_frame ~src:(Mac.of_int 0xaa) ~dst:(Mac.of_int 0xbb));
+      Engine.run e
+    done
   in
   (* Flood first (unknown unicast), then pin, then churn the pin. *)
-  for _ = 1 to 3 do
-    Dev.transmit (Vxlan.dev v1)
-      (overlay_frame ~src:(Mac.of_int 0xaa) ~dst:(Mac.of_int 0xbb));
-    Engine.run e
-  done;
+  send3 ();
+  Alcotest.(check (pair int int)) "flood reaches both remotes" (3, 3)
+    (decaps.(1), decaps.(2));
   Vxlan.add_fdb v1 (Mac.of_int 0xbb) a3;
-  for _ = 1 to 3 do
-    Dev.transmit (Vxlan.dev v1)
-      (overlay_frame ~src:(Mac.of_int 0xaa) ~dst:(Mac.of_int 0xbb));
-    Engine.run e
-  done;
+  send3 ();
+  Alcotest.(check (pair int int)) "pinned to node3 only" (3, 6)
+    (decaps.(1), decaps.(2));
   Vxlan.remove_remote v1 a3;
-  for _ = 1 to 3 do
-    Dev.transmit (Vxlan.dev v1)
-      (overlay_frame ~src:(Mac.of_int 0xaa) ~dst:(Mac.of_int 0xbb));
-    Engine.run e
-  done;
-  ignore vteps;
-  [ decaps.(1); decaps.(2); Vxlan.encapsulated v1; Engine.now e ]
-
-let test_overlay_on_off_equivalent () =
-  Alcotest.(check (list int))
-    "overlay churn identical with cache on/off"
-    (run_overlay_exchange ~cache:false ())
-    (run_overlay_exchange ~cache:true ())
+  send3 ();
+  Alcotest.(check (pair int int)) "unpinned: survivor floods" (6, 6)
+    (decaps.(1), decaps.(2));
+  Alcotest.(check int) "one outer datagram per delivery" 12
+    (Vxlan.encapsulated v1)
 
 let () =
   Alcotest.run "vxlan"
@@ -278,5 +267,5 @@ let () =
             test_remove_remote_redirects_flood;
           Alcotest.test_case "underlay rule not bypassed" `Quick
             test_underlay_rule_not_bypassed;
-          Alcotest.test_case "on/off identical" `Quick
-            test_overlay_on_off_equivalent ] ) ]
+          Alcotest.test_case "flood, pin, unpin" `Quick
+            test_flood_pin_unpin ] ) ]
